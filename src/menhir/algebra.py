@@ -36,6 +36,7 @@ __all__ = [
     "QUATERNION",
     "SingularElementError",
     "UnsupportedDimensionError",
+    "algebra_for_dimension",
     "clifford",
     "vector_embed",
     "vector_part",
@@ -178,6 +179,18 @@ def clifford(n: int) -> Algebra:
     if n < 1:
         raise UnsupportedDimensionError("clifford algebra needs at least one generator")
     return Algebra("clifford", n)
+
+
+def algebra_for_dimension(n: int) -> Algebra:
+    """Smallest algebra with an n-dimensional vector model: the division
+    algebras up to n = 4 (imaginary then full quaternions), else clifford(n)."""
+    if n == 1:
+        return REAL
+    if n == 2:
+        return COMPLEX
+    if n in (3, 4):
+        return QUATERNION
+    return clifford(n)
 
 
 class Element:

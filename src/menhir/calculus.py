@@ -56,9 +56,10 @@ def _norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
-def _check_ball(x, what: str):
+def _check_ball(x, what: str) -> float:
+    """|x| if x is strictly inside the unit ball (`not <` also rejects NaN)."""
     n = _norm(x)
-    if n >= SUPERLUMINAL_EDGE:
+    if not n < SUPERLUMINAL_EDGE:
         raise SuperluminalError(f"|{what}| = {n!r} is not strictly below 1")
     return n
 
@@ -206,7 +207,7 @@ class MoebiusMatrix:
 
 def moebius_apply(m: MoebiusMatrix, z: Element, atol: float = 1e-9) -> Element:
     """Fractional-linear action of a boost/rotation matrix on a unit sphere point."""
-    if abs(z.norm() - 1.0) > atol:
+    if not abs(z.norm() - 1.0) <= atol:
         raise ValueError(f"sphere point must have unit norm, got {z.norm()!r}")
     return (m.a * z + m.b) * (m.c * z + m.d).inverse()
 

@@ -18,38 +18,30 @@ import warnings
 import click
 import numpy as np
 
-from .algebra import (
-    COMPLEX,
-    QUATERNION,
-    REAL,
-    UnsupportedDimensionError,
-    clifford,
-    vector_embed,
-    vector_part,
-)
+from .algebra import QUATERNION, UnsupportedDimensionError, algebra_for_dimension, vector_part
 from .calculus import (
-    MoebiusMatrix,
     SuperluminalError,
+    _check_ball,
     compose_menhirs,
     menhir_gap,
     menhir_of,
-    moebius_apply,
     refine_gap_argmax,
     thomas_rotation,
     velocity_of,
 )
-from .lorentz import aberrate_ray, boost_matrix
 from .parsing import ElementParseError, format_element, parse_algebra_tag, parse_element, parse_number
 from .reversions import (
+    ConstructionError,
     ConstructionTrace,
     DegenerateConstructionWarning,
+    _sphere_samples,
     apply_word,
     boost_star_shift,
     construct_composite_menhir,
     two_boost_fixed_points,
 )
 from .svgplot import render_starfield
-from .verify import CONFIGS, run_equivalence
+from .verify import CONFIGS, aberration_spread, run_equivalence
 
 
 def _exit_codes(fn):
@@ -80,15 +72,19 @@ def main():
     """
 
 
+def _vector(x, n: int, text: str) -> np.ndarray:
+    """The n-vector that element x stands for; anything else is a parse error."""
+    try:
+        return vector_part(x, n, atol=0.0)
+    except ValueError as exc:
+        raise ElementParseError(f"{text!r} is not a {n}-vector velocity") from exc
+
+
 def _parse_velocity(text: str, algebra):
     x = parse_element(text, algebra)
     if algebra.kind == "clifford":
-        try:
-            vector_part(x, algebra.n_gen, atol=0.0)
-        except ValueError as exc:
-            raise ElementParseError(f"{text!r} is not a vector velocity") from exc
-    if x.norm() >= 1.0 - 1e-12:
-        raise SuperluminalError(f"|{text}| = {x.norm()!r} is not strictly below 1")
+        _vector(x, algebra.n_gen, text)
+    _check_ball(x, text)
     return x
 
 
@@ -143,61 +139,31 @@ def compose(tag, v_text, w_text, fmt):
             click.echo(f"{key} = {value}")
 
 
-def _algebra_for_dimension(n: int):
-    if n == 1:
-        return REAL
-    if n == 2:
-        return COMPLEX
-    if n in (3, 4):
-        return QUATERNION
-    return clifford(n)
-
-
-def _parse_vector_text(text: str, n: int | None) -> np.ndarray:
-    """Velocity as a plain vector; bare element text is read in the division
-    algebra matching the dimension."""
+def _parse_vector_velocity(text: str, n: int | None) -> np.ndarray:
+    """Velocity as a plain vector inside the ball.  Bracketed text lists the
+    components; bare element text is read in `algebra_for_dimension(n)`, and
+    without n its units pick the dimension (2, 3 or 4)."""
     compact = text.strip()
     if compact.startswith("["):
         if not compact.endswith("]"):
             raise ElementParseError(f"unterminated bracket list {text!r}")
-        values = np.array([parse_number(p) for p in compact[1:-1].split(",") if p.strip()])
-        if n is not None and values.size != n:
-            raise ElementParseError(f"expected a {n}-vector, got {values.size} components")
-        return values
-    if n is not None and n > 4:
-        raise ElementParseError(f"use bracketed components for dimension {n}")
-    x = parse_element(text, QUATERNION)
-    if n is None:
-        if np.abs(x.coeffs[2:]).max() == 0.0:
-            n = 2
-        elif abs(x.coeffs[0]) == 0.0:
-            n = 3
-        else:
-            n = 4
-    return _vector_from_division(x, n)
-
-
-def _vector_from_division(x, n: int) -> np.ndarray:
-    coeffs = x.coeffs  # quaternion coefficients (1, i, j, k)
-    if n == 1:
-        if np.abs(coeffs[1:]).max() > 0:
-            raise ElementParseError("imaginary units do not fit dimension 1")
-        return coeffs[:1].copy()
-    if n == 2:
-        if np.abs(coeffs[2:]).max() > 0:
-            raise ElementParseError("units j, k do not fit dimension 2")
-        return coeffs[:2].copy()
-    if n == 3:
-        if abs(coeffs[0]) > 0:
-            raise ElementParseError("a real part does not fit dimension 3 (imaginary model)")
-        return coeffs[1:].copy()
-    return coeffs.copy()
-
-
-def _check_speed(v: np.ndarray):
-    speed = float(np.linalg.norm(v))
-    if speed >= 1.0 - 1e-12:
-        raise SuperluminalError(f"speed {speed!r} is not strictly below 1")
+        v = np.array([parse_number(p) for p in compact[1:-1].split(",") if p.strip()])
+        if v.size == 0 or (n is not None and v.size != n):
+            raise ElementParseError(f"expected {n or 'at least 1'} components, got {v.size}")
+    else:
+        x = parse_element(text, QUATERNION if n is None else algebra_for_dimension(n))
+        if n is None:
+            if np.abs(x.coeffs[2:]).max() == 0.0:
+                n = 2
+            elif abs(x.coeffs[0]) == 0.0:
+                n = 3
+            else:
+                n = 4
+            if algebra_for_dimension(n) is not QUATERNION:
+                x = parse_element(text, algebra_for_dimension(n))
+        v = _vector(x, n, text)
+    _check_ball(v, text)
+    return v
 
 
 def _read_catalog(path: str):
@@ -219,8 +185,8 @@ def _read_catalog(path: str):
             except ValueError as exc:
                 raise ElementParseError(f"{path}:{line_no}: bad catalog row") from exc
             norm = np.linalg.norm(vec)
-            if norm < 1e-12:
-                raise ElementParseError(f"{path}:{line_no}: zero direction")
+            if not 1e-12 <= norm < math.inf:
+                raise ElementParseError(f"{path}:{line_no}: direction must be finite and nonzero")
             labels.append(label if label is not None else f"star{len(labels)}")
             rows.append(vec / norm)
     if not rows:
@@ -230,8 +196,23 @@ def _read_catalog(path: str):
     return labels, np.vstack(rows)
 
 
-def _csv_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _shift_table(labels, stars: np.ndarray, shifted: np.ndarray) -> str:
+    """CSV schema v1: label, in_1..in_n, out_1..out_n."""
+    n = stars.shape[1]
+    columns = [f"in_{k+1}" for k in range(n)] + [f"out_{k+1}" for k in range(n)]
+    lines = [",".join(["label"] + columns)]
+    for label, a, s in zip(labels, stars.tolist(), shifted.tolist()):
+        lines.append(f"{label}," + ",".join(map(repr, a + s)))
+    return "\n".join(lines) + "\n"
+
+
+def _write(out_path: str, text: str):
+    """Command output to the file out_path, or to stdout for '-'."""
+    if out_path == "-":
+        click.echo(text, nl=False)
+    else:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 @main.command()
@@ -247,53 +228,48 @@ def aberrate(v_text, catalog_path, out_path, debug):
     """
     labels, stars = _read_catalog(catalog_path)
     n = stars.shape[1]
-    v = _parse_vector_text(v_text, n)
-    _check_speed(v)
-    shifted = np.vstack([boost_star_shift(a, v) for a in stars])
-
+    v = _parse_vector_velocity(v_text, n)
+    shifted = boost_star_shift(stars, v)
     if debug:
-        algebra = _algebra_for_dimension(n)
-        matrix = MoebiusMatrix.boost(menhir_of(vector_embed(v, algebra)))
-        L = boost_matrix(v)
-        spread = 0.0
-        for a, s in zip(stars, shifted):
-            by_moebius = vector_part(moebius_apply(matrix, vector_embed(a, algebra)), n, atol=1e-6)
-            by_oracle = aberrate_ray(L, a)
-            spread = max(
-                spread,
-                float(np.abs(s - by_moebius).max()),
-                float(np.abs(s - by_oracle).max()),
-                float(np.abs(by_moebius - by_oracle).max()),
-            )
+        spread = aberration_spread(v, stars, algebra_for_dimension(n))
         click.echo(f"max cross-discrepancy (word/moebius/oracle): {spread:.3e}", err=True)
-
-    header = "label," + ",".join(f"in_{k+1}" for k in range(n)) + "," + ",".join(
-        f"out_{k+1}" for k in range(n)
-    )
-    lines = [header]
-    for label, a, s in zip(labels, stars, shifted):
-        lines.append(f"{label},{_csv_row(a)},{_csv_row(s)}")
-    text = "\n".join(lines) + "\n"
-    if out_path == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(out_path, _shift_table(labels, stars, shifted))
 
 
 def _starfield_points(n: int, count: int) -> np.ndarray:
     if n == 2:
         angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
         return np.column_stack([np.cos(angles), np.sin(angles)])
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((count, n))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    return _sphere_samples(n, count)
+
+
+def _two_boost_overlays(ev: np.ndarray, ew: np.ndarray):
+    """Fixed points and construction trace of the planar two-boost map.  An
+    overlay that cannot be drawn in full is reported on stderr; what was built
+    of the construction is kept."""
+    fixed, trace = (), ConstructionTrace()
+    try:
+        fixed = two_boost_fixed_points(ev, ew)
+    except ConstructionError as exc:
+        click.echo(f"warning: fixed points overlay omitted ({exc})", err=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateConstructionWarning)
+        try:
+            construct_composite_menhir(ev, ew, trace)
+        except ConstructionError as exc:
+            click.echo(f"warning: construction overlay omitted ({exc})", err=True)
+        except DegenerateConstructionWarning as exc:
+            # collinear menhirs fall back before drawing, so nothing is lost
+            if trace.points:
+                click.echo(f"warning: construction overlay incomplete ({exc.reason})", err=True)
+    return fixed, trace
 
 
 @main.command()
 @click.option("-v", "--velocity", "v_text", required=True, help="First boost velocity.")
 @click.option("--w", "w_text", default=None, help="Optional second boost velocity (two-boost mode).")
-@click.option("--count", default=12, show_default=True, help="Number of star stones (>= 2).")
+@click.option("--count", default=12, show_default=True, type=click.IntRange(min=2),
+              help="Number of star stones.")
 @click.option("--format", "fmt", type=click.Choice(["svg", "csv"]), default="svg", show_default=True)
 @click.option("--out", "out_path", default="-", show_default=True, type=click.Path())
 @_exit_codes
@@ -302,41 +278,22 @@ def starfield(v_text, w_text, count, fmt, out_path):
 
     CSV schema v1 columns: label, in_1..in_n, out_1..out_n.
     """
-    if count < 2:
-        raise click.UsageError("--count must be at least 2")
-    v = _parse_vector_text(v_text, None)
+    v = _parse_vector_velocity(v_text, None)
     n = v.size
-    _check_speed(v)
-    w = None
-    if w_text is not None:
-        w = _parse_vector_text(w_text, n)
-        _check_speed(w)
+    w = None if w_text is None else _parse_vector_velocity(w_text, n)
 
     stars = _starfield_points(n, count)
     ev = menhir_of(v)
     menhirs = [ev]
+    fixed, trace = (), None
     if w is None:
-        shifted = np.vstack([boost_star_shift(a, v) for a in stars])
-        fixed = ()
-        trace = None
+        shifted = boost_star_shift(stars, v)
     else:
         ew = menhir_of(w)
         menhirs.append(ew)
-        word = [np.zeros(n), ev, np.zeros(n), ew]
-        shifted = np.vstack([apply_word(a, word) for a in stars])
-        fixed, trace = (), None
+        shifted = apply_word(stars, [np.zeros(n), ev, np.zeros(n), ew])
         if n == 2:
-            try:
-                fixed = two_boost_fixed_points(ev, ew)
-            except Exception:
-                fixed = ()
-            trace = ConstructionTrace()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateConstructionWarning)
-                try:
-                    construct_composite_menhir(ev, ew, trace)
-                except Exception:
-                    trace = None
+            fixed, trace = _two_boost_overlays(ev, ew)
 
     if fmt == "svg":
         if n != 2:
@@ -344,24 +301,15 @@ def starfield(v_text, w_text, count, fmt, out_path):
             sys.exit(5)
         text = render_starfield(stars, shifted, menhirs, fixed, trace)
     else:
-        header = "label," + ",".join(f"in_{k+1}" for k in range(n)) + "," + ",".join(
-            f"out_{k+1}" for k in range(n)
-        )
-        lines = [header]
-        for idx, (a, s) in enumerate(zip(stars, shifted)):
-            lines.append(f"star{idx},{_csv_row(a)},{_csv_row(s)}")
-        text = "\n".join(lines) + "\n"
-
-    if out_path == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        text = _shift_table([f"star{i}" for i in range(count)], stars, shifted)
+    _write(out_path, text)
 
 
 @main.command()
-@click.option("--trials", default=1000, show_default=True, help="Trials per configuration (>= 1).")
-@click.option("--seed", default=42, show_default=True, help="Master seed; trial i uses seed XOR i.")
+@click.option("--trials", default=1000, show_default=True, type=click.IntRange(min=1),
+              help="Trials per configuration.")
+@click.option("--seed", default=42, show_default=True, type=click.IntRange(min=0),
+              help="Master seed; trial i uses seed XOR i.")
 @click.option("-a", "--algebra", "key", default="all", show_default=True,
               type=click.Choice(["all", *CONFIGS]), help="Verification lane.")
 @click.option("--tier", type=click.Choice(["normal", "stress"]), default="normal", show_default=True)
@@ -372,8 +320,6 @@ def verify(trials, seed, key, tier):
     Tolerance: 1e-9 (normal), 1e-6 (stress); the MENHIR_TOLERANCE environment
     variable overrides it.  Exit code 1 when any trial fails.
     """
-    if trials < 1:
-        raise click.UsageError("--trials must be at least 1")
     tolerance = None
     env = os.environ.get("MENHIR_TOLERANCE")
     if env:
@@ -401,7 +347,8 @@ def verify(trials, seed, key, tier):
 
 
 @main.command()
-@click.option("--steps", default=1000, show_default=True, help="Grid steps over [0, 1] (>= 100).")
+@click.option("--steps", default=1000, show_default=True, type=click.IntRange(min=100),
+              help="Grid steps over [0, 1].")
 @click.option("--out", "out_path", default="-", show_default=True, type=click.Path())
 @_exit_codes
 def goldenscan(steps, out_path):
@@ -410,19 +357,12 @@ def goldenscan(steps, out_path):
     Emits CSV (v, menhir, gap) and reports the refined argmax and the v:menhir
     ratio there (the golden section of the segment, fittingly).
     """
-    if steps < 100:
-        raise click.UsageError("--steps must be at least 100")
     grid = np.linspace(0.0, 1.0, steps + 1)
     gaps = menhir_gap(grid)
     lines = ["v,menhir,gap"]
     for v, gap in zip(grid, gaps):
         lines.append(f"{float(v)!r},{float(v - gap)!r},{float(gap)!r}")
-    text = "\n".join(lines) + "\n"
-    if out_path == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(out_path, "\n".join(lines) + "\n")
 
     v_star = refine_gap_argmax()
     e_star = v_star - float(menhir_gap(v_star))

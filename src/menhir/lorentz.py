@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import SuperluminalError, SUPERLUMINAL_EDGE
+from .calculus import _check_ball
 
 __all__ = [
     "aberrate_ray",
@@ -32,9 +32,8 @@ def boost_matrix(v) -> np.ndarray:
     orthogonal complement of span{e0, v}."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n = v.size
+    _check_ball(v, "v")
     v2 = float(v @ v)
-    if v2 >= SUPERLUMINAL_EDGE ** 2:
-        raise SuperluminalError(f"|v| = {np.sqrt(v2)!r} is not strictly below 1")
     g = 1.0 / np.sqrt(1.0 - v2)
     L = np.eye(1 + n)
     L[0, 0] = g
@@ -88,8 +87,7 @@ def aberrate_ray(L, a) -> np.ndarray:
 
 def axis_projection_shift(x: float, v: float) -> float:
     """New axis projection of a star: x' = (x + v)/(1 + v x)."""
-    if abs(x) > 1.0:
+    if not abs(x) <= 1.0:
         raise ValueError("projection must lie in [-1, 1]")
-    if abs(v) >= 1.0:
-        raise SuperluminalError("speed must lie in (-1, 1)")
+    _check_ball(v, "v")
     return (x + v) / (1.0 + v * x)

@@ -76,18 +76,16 @@ def parse_algebra_tag(tag: str) -> Algebra:
 
 
 def parse_number(text: str) -> float:
-    """A decimal or a rational p/q."""
+    """A finite decimal or a rational p/q with q nonzero."""
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return float(num) / float(den)
-        except ValueError as exc:
-            raise ElementParseError(f"bad number {text!r}") from exc
+    num, slash, den = text.partition("/")
     try:
-        return float(text)
-    except ValueError as exc:
+        value = float(num) / float(den) if slash else float(num)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ElementParseError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise ElementParseError(f"non-finite number {text!r}")
+    return value
 
 
 def _parse_term(term: str) -> tuple[float, str]:
@@ -101,10 +99,9 @@ def _parse_term(term: str) -> tuple[float, str]:
         raise ElementParseError(f"bad term {term!r}")
     if m.group("den_pre") and m.group("den_post"):
         raise ElementParseError(f"bad term {term!r}: two denominators")
-    value = float(m.group("num")) if m.group("num") else 1.0
+    num = m.group("num") or "1"
     den = m.group("den_pre") or m.group("den_post")
-    if den:
-        value /= float(den)
+    value = parse_number(f"{num}/{den}" if den else num)
     return sign * value, m.group("unit") or ""
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import menhir_of
+from .algebra import COMPLEX, vector_embed, vector_part
+from .calculus import SuperluminalError, _check_ball, compose_menhirs, menhir_of, thomas_rotation
 
 __all__ = [
     "ConstructionError",
@@ -47,11 +48,14 @@ class ConstructionError(RuntimeError):
 class DegenerateConstructionWarning(UserWarning):
     """Construction degenerated; the algebraic value was returned instead."""
 
+    def __init__(self, reason: str):
+        super().__init__(f"construction degenerated ({reason}); returning the algebraic value")
+        self.reason = reason
+
 
 def _interior(p, what: str = "reversion point") -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.linalg.norm(p) >= 1.0:
-        raise ValueError(f"{what} must lie strictly inside the unit ball")
+    _check_ball(p, what)
     return p
 
 
@@ -64,7 +68,7 @@ def revert(a, p) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     norms = np.linalg.norm(a, axis=-1)
-    if np.abs(norms - 1.0).max() > 1e-9:
+    if not np.abs(norms - 1.0).max() <= 1e-9:
         raise ValueError("sphere point must have unit norm")
     p = _interior(p)
     d = p - a
@@ -162,8 +166,10 @@ def find_conjugate_point(a, b, a_new, atol: float = 1e-9) -> np.ndarray:
         b_new, resid = _line_intersection(xprime, chord, a, line_dir)
         if resid > 1e-9:
             continue
-        if np.linalg.norm(b_new) >= 1.0 - 1e-12:
-            raise ConstructionError("conjugate point falls outside the open ball")
+        try:
+            _check_ball(b_new, "conjugate point")
+        except SuperluminalError as exc:
+            raise ConstructionError("conjugate point falls outside the open ball") from exc
         err = np.abs(
             apply_word(checks, [a, b]) - apply_word(checks, [a_new, b_new])
         ).max()
@@ -244,14 +250,6 @@ def two_boost_fixed_points(e, f, grid: int = 512) -> tuple[np.ndarray, np.ndarra
     return tuple(np.array([math.cos(t), math.sin(t)]) for t in roots)
 
 
-def _thomas_rho(e: complex, f: complex) -> complex:
-    return (1.0 + f * e.conjugate()) / (1.0 + f.conjugate() * e)
-
-
-def _compose_c(e: complex, f: complex) -> complex:
-    return (e + f) / (1.0 + e.conjugate() * f)
-
-
 @dataclass
 class ConstructionTrace:
     """Labeled points and segments produced by a construction, for rendering."""
@@ -278,8 +276,9 @@ def construct_rotation(e, f, trace: ConstructionTrace | None = None):
     e = _interior(np.asarray(e, dtype=float), "menhir")
     f = _interior(np.asarray(f, dtype=float), "menhir")
     ec, fc = _as_complex(e), _as_complex(f)
+    ce, cf = vector_embed(e, COMPLEX), vector_embed(f, COMPLEX)
     if abs(ec.conjugate() * fc - fc.conjugate() * ec) <= 1e-14:  # collinear
-        m = _compose_c(ec, fc)
+        m = _as_complex(vector_part(compose_menhirs(ce, cf), 2))
         ref = m if abs(m) > 1e-14 else (ec if abs(ec) > 1e-14 else 1.0 + 0j)
         a = _from_complex(ref / abs(ref))
         if trace is not None:
@@ -287,9 +286,8 @@ def construct_rotation(e, f, trace: ConstructionTrace | None = None):
             trace.point("B", a)
         return a, a.copy(), 0.0
     fixed1, fixed2 = two_boost_fixed_points(e, f)
-    rho = _thomas_rho(ec, fc)
     a = fixed1
-    b = _from_complex(rho * _as_complex(a))
+    b = vector_part(thomas_rotation(ce, cf).apply(vector_embed(a, COMPLEX)), 2)
     angle = math.atan2(a[0] * b[1] - a[1] * b[0], float(a @ b))
     if trace is not None:
         trace.point("F1", fixed1)
@@ -310,14 +308,10 @@ def construct_composite_menhir(e, f, trace: ConstructionTrace | None = None) -> 
     e = _interior(np.asarray(e, dtype=float), "menhir")
     f = _interior(np.asarray(f, dtype=float), "menhir")
     ec, fc = _as_complex(e), _as_complex(f)
-    algebraic = _from_complex(_compose_c(ec, fc))
+    algebraic = vector_part(compose_menhirs(vector_embed(e, COMPLEX), vector_embed(f, COMPLEX)), 2)
 
     def fallback(reason):
-        warnings.warn(
-            f"construction degenerated ({reason}); returning the algebraic value",
-            DegenerateConstructionWarning,
-            stacklevel=2,
-        )
+        warnings.warn(DegenerateConstructionWarning(reason), stacklevel=2)
         return algebraic
 
     if abs(ec.conjugate() * fc - fc.conjugate() * ec) <= 1e-14:
@@ -332,7 +326,9 @@ def construct_composite_menhir(e, f, trace: ConstructionTrace | None = None) -> 
     denom = np.linalg.norm(a - x) * np.linalg.norm(a2 - x2)
     if denom < 1e-14 or resid > 1e-9:
         return fallback("parallel chords")
-    if np.linalg.norm(meet) >= 1.0:
+    try:
+        _check_ball(meet, "meet")
+    except SuperluminalError:
         return fallback("meet outside the disk")
     if trace is not None:
         trace.point("Bfoe", x)

@@ -27,6 +27,7 @@ from .reversions import boost_star_shift
 __all__ = [
     "CONFIGS",
     "RunReport",
+    "aberration_spread",
     "aberration_trial",
     "composition_trial",
     "run_equivalence",
@@ -83,23 +84,32 @@ def composition_trial(rng: np.random.Generator, key: str, tier: str = "normal"):
     return v_err, r_err, v, w
 
 
-def aberration_trial(rng: np.random.Generator, key: str, tier: str = "normal"):
-    """Three-way star-shift comparison: reversion word, Moebius map, null-ray oracle."""
-    algebra, n = CONFIGS[key]
-    lo, hi, _ = TIERS[tier]
-    v = sample_velocity(rng, n, lo, hi)
-    star = sample_direction(rng, n)
-
-    by_word = boost_star_shift(star, v)
+def aberration_spread(v: np.ndarray, stars: np.ndarray, algebra: Algebra) -> float:
+    """Three-way star-shift comparison over a batch of stars (rows) boosted by v:
+    the largest gap between the reversion word, the Moebius map in `algebra`
+    and the null-ray oracle."""
+    n = v.size
+    by_word = boost_star_shift(stars, v)
     matrix = MoebiusMatrix.boost(menhir_of(vector_embed(v, algebra)))
-    by_moebius = vector_part(moebius_apply(matrix, vector_embed(star, algebra)), n, atol=1e-6)
-    by_oracle = aberrate_ray(boost_matrix(v), star)
-    spread = max(
+    by_moebius = np.array(
+        [vector_part(moebius_apply(matrix, vector_embed(a, algebra)), n, atol=1e-6) for a in stars]
+    )
+    L = boost_matrix(v)
+    by_oracle = np.array([aberrate_ray(L, a) for a in stars])
+    return max(
         float(np.abs(by_word - by_moebius).max()),
         float(np.abs(by_word - by_oracle).max()),
         float(np.abs(by_moebius - by_oracle).max()),
     )
-    return spread, v, star
+
+
+def aberration_trial(rng: np.random.Generator, key: str, tier: str = "normal"):
+    """One three-way star-shift trial; returns (spread, v, star)."""
+    algebra, n = CONFIGS[key]
+    lo, hi, _ = TIERS[tier]
+    v = sample_velocity(rng, n, lo, hi)
+    star = sample_direction(rng, n)
+    return aberration_spread(v, star[np.newaxis], algebra), v, star
 
 
 @dataclass

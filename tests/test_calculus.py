@@ -18,6 +18,8 @@ from menhir.calculus import (
     thomas_rotation,
     velocity_of,
 )
+from menhir.lorentz import axis_projection_shift, boost_matrix
+from menhir.reversions import revert
 from util import ball_vector, random_menhir, unit_vector
 
 ALL = [(REAL, 1), (COMPLEX, 2), (QUATERNION, 3), (QUATERNION, 4),
@@ -365,6 +367,16 @@ def test_superluminal_guards():
         velocity_of(REAL.scalar(1.0))
     with pytest.raises(SuperluminalError):
         compose_velocities(COMPLEX.element([2.0, 0.0]), COMPLEX.zero)
+    # every speed check is the same rule: NaN, inf and the edge itself all fail
+    for bad in (math.nan, math.inf, 1.0 - 1e-13):
+        with pytest.raises(SuperluminalError):
+            menhir_of(COMPLEX.element([bad, 0.0]))
+        with pytest.raises(SuperluminalError):
+            boost_matrix([bad, 0.0])
+        with pytest.raises(SuperluminalError):
+            revert(np.array([0.0, 1.0]), np.array([bad, 0.0]))
+        with pytest.raises(SuperluminalError):
+            axis_projection_shift(0.5, bad)
     # just inside the guard is fine
     menhir_of(COMPLEX.element([1.0 - 1e-6, 0.0]))
 

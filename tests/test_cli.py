@@ -1,16 +1,20 @@
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menhir.algebra import COMPLEX
 from menhir.calculus import menhir_of
 from menhir.cli import main
 from menhir.lorentz import axis_projection_shift
 from menhir.parsing import parse_element
+from menhir.reversions import DegenerateConstructionWarning
 
 
 @pytest.fixture
@@ -75,6 +79,30 @@ def test_compose_exit_codes(runner):
     assert runner.invoke(
         main, ["compose", "-a", "clifford2", "-v", "[0,0.5,0.2,0]", "-w", "[0.1,0]"]
     ).exit_code == 0
+    # non-finite numbers and zero denominators are parse errors, not speeds
+    for tag, text in (("clifford2", "[nan,0]"), ("clifford2", "[inf,0]"),
+                      ("complex", "1/0"), ("complex", "[1/0,0]")):
+        result = runner.invoke(main, ["compose", "-a", tag, "-v", text, "-w", "0"])
+        assert result.exit_code == 2, (tag, text, result.output)
+
+
+# floats a user could type: NaN, inf, zero, subnormals and values near +-1
+_TYPED_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1.0 - 1e-9, max_value=-1.0 + 1e-9),
+    st.floats(min_value=1.0 - 1e-9, max_value=1.0 + 1e-9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_TYPED_FLOATS, y=_TYPED_FLOATS)
+def test_compose_never_leaks_a_traceback(x, y):
+    runner = CliRunner()
+    for tag, v_text, w_text in (("clifford2", f"[{x!r},{y!r}]", "[0.1,0.2]"),
+                                ("complex", f"{x!r}/{y!r}", "1/3")):
+        result = runner.invoke(main, ["compose", "-a", tag, "-v", v_text, "-w", w_text])
+        assert result.exit_code in (0, 2, 3), (tag, v_text, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_compose_deterministic(runner):
@@ -143,6 +171,28 @@ def test_aberrate_one_dimensional_catalog(runner, tmp_path):
         assert float(after) == pytest.approx(target, abs=1e-12)
 
 
+def test_unusable_input_writes_nothing(runner, tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_text("0,1\n1,0\n")
+    cases = [("0.5", "nan,0\n1,0\n"), ("0.5", "a,inf,0\n"), ("[nan,0]", None)]
+    for v_text, rows in cases:
+        catalog = good
+        if rows is not None:
+            catalog = tmp_path / "bad.csv"
+            catalog.write_text(rows)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(
+            main, ["aberrate", "-v", v_text, "--catalog", str(catalog), "--out", str(out)]
+        )
+        assert result.exit_code == 2, (v_text, rows, result.output)
+        assert not out.exists()
+    out = tmp_path / "sky.csv"
+    for v_text in ("[nan,0]", "[]"):
+        result = runner.invoke(main, ["starfield", "-v", v_text, "--format", "csv", "--out", str(out)])
+        assert result.exit_code == 2, (v_text, result.output)
+        assert not out.exists()
+
+
 def test_aberrate_io_error(runner, tmp_path):
     result = runner.invoke(
         main, ["aberrate", "-v", "0.5", "--catalog", str(tmp_path / "missing.csv"), "--out", "-"]
@@ -202,6 +252,43 @@ def test_starfield_two_boost_mode(runner):
     assert "e[+]f" in texts  # construction trace is rendered
 
 
+def _warnings_and_svg(result):
+    assert result.exit_code == 0, result.output
+    root = ET.fromstring(result.stdout)
+    assert root.tag.endswith("svg")
+    lines = result.stderr.splitlines()
+    assert all(line.startswith("warning: ") for line in lines)
+    texts = {el.text for el in root.iter() if el.tag.endswith("text")}
+    return lines, texts
+
+
+def test_starfield_two_boost_overlay_warnings(runner, monkeypatch):
+    # boost then its inverse: every circle point is fixed, so there are no two
+    # fixed points to mark; the collinear construction draws nothing and so
+    # drops nothing
+    lines, _ = _warnings_and_svg(
+        runner.invoke(main, ["starfield", "-v", "0.5", "--w", "-0.5", "--count", "8"])
+    )
+    assert len(lines) == 1 and "fixed points overlay omitted" in lines[0]
+    # collinear boosts: both fixed points exist and nothing is dropped
+    lines, _ = _warnings_and_svg(
+        runner.invoke(main, ["starfield", "-v", "0.5", "--w", "0.3", "--count", "8"])
+    )
+    assert lines == []
+
+    # a fallback after the construction began keeps what it drew and names why
+    def partial(e, f, trace):
+        trace.point("A", np.array([1.0, 0.0]))
+        warnings.warn(DegenerateConstructionWarning("parallel chords"))
+
+    monkeypatch.setattr("menhir.cli.construct_composite_menhir", partial)
+    lines, texts = _warnings_and_svg(
+        runner.invoke(main, ["starfield", "-v", "1/2", "--w", "i/3", "--count", "8"])
+    )
+    assert lines == ["warning: construction overlay incomplete (parallel chords)"]
+    assert "A" in texts and "e[+]f" not in texts
+
+
 def test_starfield_unsupported_dimension(runner):
     result = runner.invoke(
         main, ["starfield", "-v", "[0.1,0.2,0.3]", "--format", "svg"]
@@ -225,6 +312,7 @@ def test_verify_ok(runner):
 
 def test_verify_rejects_zero_trials(runner):
     assert runner.invoke(main, ["verify", "--trials", "0"]).exit_code == 2
+    assert runner.invoke(main, ["verify", "--trials", "1", "--seed", "-5"]).exit_code == 2
 
 
 def test_verify_tolerance_env_failure(runner):

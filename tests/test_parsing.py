@@ -18,6 +18,10 @@ def test_parse_numbers():
     assert parse_number("1e-3") == 1e-3
     with pytest.raises(ElementParseError):
         parse_number("x")
+    # non-finite values and zero denominators are not numbers of the grammar
+    for text in ("nan", "inf", "-inf", "1e400", "1/0", "0/0", "1e300/1e-300"):
+        with pytest.raises(ElementParseError):
+            parse_number(text)
 
 
 def test_parse_algebra_tags():
@@ -70,6 +74,9 @@ def test_parse_errors():
         parse_element("1/2/3", REAL)
     with pytest.raises(ElementParseError):
         parse_element("3i/5/7", COMPLEX)
+    for text in ("1/0", "3i/0", "1e400i", "[nan,0]", "[inf,0]", "[1/0,0]"):
+        with pytest.raises(ElementParseError):
+            parse_element(text, COMPLEX)
 
 
 def test_format_number_rationals():
