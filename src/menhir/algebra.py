@@ -19,11 +19,23 @@ exactly when x x* lands on a nonzero scalar: every nonzero division-algebra
 element, and Clifford scalars, vectors, and scalar-plus-simple-bivector
 elements such as the 1 - e f denominators produced by the composition law.
 General multivector inversion is deliberately out of scope.
+
+Products are table-driven (the bitmap-blade scheme of Dorst, Fontijne & Mann,
+*Geometric Algebra for Computer Science*, ch. 19).  Two (2^n, 2^n) tables are
+indexed by a left blade i and an output blade k: `_xor[i, k] = i ^ k` is the
+right blade that lands on k, and `_sign[i, k]` is the sign of e_i e_(i^k).
+Coefficient k of a b is then sum_i a_i _sign[i, k] b_(i^k): one gather of b
+through the rows of the tables and one sum over the rows, taken in row order
+so that it rounds exactly as a loop over the blades of a.  The sign is the
+parity of the generator swaps and squares, popcount(B & (A ^ A>>1 ^ ...)) for
+A = i, B = i ^ k, so both tables are built with array operations on uint16
+blade masks.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -44,6 +56,9 @@ __all__ = [
 
 # 2**10 blade coefficients; far beyond the desk scale this package targets.
 _MAX_GENERATORS = 10
+# Blade count up to which a product uses every row of the tables: below it the
+# full (dim, dim) gather is cheaper than selecting the nonzero rows of `a`.
+_DENSE_DIM = 32
 
 
 class AlgebraMismatchError(ValueError):
@@ -58,19 +73,21 @@ class UnsupportedDimensionError(ValueError):
     """Vector length does not fit the algebra's vector model."""
 
 
-def _blade_sign_table(n_gen: int) -> np.ndarray:
-    """Sign of e_A e_B for blade bitmasks A, B, with every generator squaring to -1."""
-    dim = 1 << n_gen
-    table = np.empty((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            swaps = int(a & b).bit_count()  # each shared generator contributes e_i^2 = -1
-            x = a >> 1
-            while x:
-                swaps += int(x & b).bit_count()
-                x >>= 1
-            table[a, b] = -1.0 if swaps & 1 else 1.0
-    return table
+def _blade_tables(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """(_sign, _xor) over 2**n_gen blades, indexed by left blade i and output
+    blade k: _xor[i, k] = i ^ k and _sign[i, k] = sign of e_i e_(i^k), with
+    every generator squaring to -1."""
+    masks = np.arange(1 << n_gen, dtype=np.uint16)
+    parity = np.zeros(masks.size, dtype=np.uint8)  # popcount parity of each mask
+    prefix = np.zeros_like(masks)  # A ^ A>>1 ^ ...: bit j is the parity of A's bits >= j
+    for s in range(n_gen):
+        parity ^= (masks >> s).astype(np.uint8) & 1
+        prefix ^= masks >> s
+    xor = masks[:, None] ^ masks[None, :]
+    # B & prefix(A) pairs each generator of B with every generator of A at or
+    # above it: the swaps to sort e_A e_B plus the e_j^2 = -1 squares
+    sign = np.where(parity[xor & prefix[:, None]], -1.0, 1.0)
+    return sign, xor
 
 
 class Algebra:
@@ -86,9 +103,8 @@ class Algebra:
         self.kind = kind
         self.n_gen = n_gen
         self.dim = 1 << n_gen
-        self._sign = _blade_sign_table(n_gen)
+        self._sign, self._xor = _blade_tables(n_gen)
         idx = np.arange(self.dim)
-        self._xor = idx[:, None] ^ idx[None, :]
         self.grades = np.array([int(i).bit_count() for i in idx])
         # (-1)^(k(k+1)/2): + - - + repeating in the grade
         self.conj_sign = np.where(np.isin(self.grades % 4, (0, 3)), 1.0, -1.0)
@@ -162,10 +178,23 @@ class Algebra:
     # -- coefficient-level product ------------------------------------------
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for i in np.flatnonzero(a):
-            out[self._xor[i]] += a[i] * (self._sign[i] * b)
-        return out
+        """Coefficients of a b for a 1-D `a`; `b` may stack right operands in
+        its leading axes.  Up to _DENSE_DIM blades every row of the tables is
+        used; above it only the rows of the nonzero coefficients of `a`.  The
+        terms are rounded one by one and summed row after row, as a loop over
+        the blades of `a` would, so terms that cancel in exact arithmetic
+        (x y - y x) cancel here too."""
+        if self.dim <= _DENSE_DIM:
+            return np.add.reduce(a[:, None] * self._sign * b.take(self._xor, axis=-1), axis=-2)
+        rows = np.flatnonzero(a)
+        terms = b.take(self._xor[rows], axis=-1)  # in place below: one temporary
+        terms *= self._sign[rows]
+        terms *= a[rows, None]
+        return np.add.reduce(terms, axis=-2)
+
+    def blade_mul(self, masks: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Rows e_m b for each basis blade m in `masks`: a pure gather."""
+        return self._sign[masks] * b[self._xor[masks]]
 
 
 REAL = Algebra("real", 0)
@@ -283,7 +312,8 @@ class Element:
         return float(self.coeffs @ self.coeffs)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
+        """Euclidean norm of the coefficients; finite for every finite element."""
+        return math.hypot(*self.coeffs.tolist())
 
     def inverse(self, rtol: float = 1e-10) -> "Element":
         """x*/(x x*), valid when x x* is a nonzero scalar (division scalars,

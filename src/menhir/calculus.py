@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Element, vector_embed, vector_part
+from .algebra import Element
 
 __all__ = [
     "DecomposedTransform",
@@ -51,9 +51,10 @@ class SuperluminalError(ValueError):
 
 
 def _norm(x) -> float:
+    """Euclidean norm of an element or a plain vector; finite for finite input."""
     if isinstance(x, Element):
         return x.norm()
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    return math.hypot(*np.asarray(x, dtype=float).ravel().tolist())
 
 
 def _check_ball(x, what: str) -> float:
@@ -118,14 +119,21 @@ class RotationDescriptor:
         return self.alpha / self.beta
 
     def matrix(self, model_dim: int) -> np.ndarray:
-        """Orthogonal matrix of the sandwich action on the model vector space."""
-        cols = []
-        n = model_dim
-        beta_inv = self.beta.inverse()
-        for k in range(n):
-            basis = vector_embed(np.eye(n)[k], self.algebra)
-            cols.append(vector_part(self.alpha * basis * beta_inv, n, atol=1e-6))
-        return np.column_stack(cols)
+        """Orthogonal matrix of the sandwich action on the model vector space.
+
+        Column k is alpha (e_k beta^{-1}): the right factor is a gather per
+        basis blade and the left product is one stacked `mul_coeffs`.  A
+        column with a coefficient above 1e-6 outside the model raises
+        ValueError (the pair does not preserve the model)."""
+        algebra = self.algebra
+        idx = algebra.model_indices(model_dim)
+        right = algebra.blade_mul(idx, self.beta.inverse().coeffs)
+        images = algebra.mul_coeffs(self.alpha.coeffs, right)
+        off = images.copy()
+        off[:, idx] = 0.0
+        if np.abs(off).max() > 1e-6:
+            raise ValueError(f"{self!r} does not preserve the {model_dim}-vector model")
+        return images[:, idx].T
 
     def angle(self, model_dim: int | None = None) -> float:
         """Rotation angle: signed in the plane for the complex model, else the

@@ -167,33 +167,48 @@ def _parse_vector_velocity(text: str, n: int | None) -> np.ndarray:
 
 
 def _read_catalog(path: str):
-    labels, rows = [], []
+    """Labels and unit star directions of a catalog file.  The rows are read
+    into one array and normalised together; an error names the first bad row."""
+    labels, rows, line_nos, unreadable = [], [], [], None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = [f.strip() for f in line.split(",")]
+            fields = line.split(",")  # float() ignores the spaces around a number
             label = None
             try:
                 float(fields[0])
             except ValueError:
-                label = fields[0]
+                label = fields[0].strip()
                 fields = fields[1:]
             try:
-                vec = np.array([float(f) for f in fields])
-            except ValueError as exc:
-                raise ElementParseError(f"{path}:{line_no}: bad catalog row") from exc
-            norm = np.linalg.norm(vec)
-            if not 1e-12 <= norm < math.inf:
-                raise ElementParseError(f"{path}:{line_no}: direction must be finite and nonzero")
+                rows.append(list(map(float, fields)))
+            except ValueError:
+                unreadable = line_no
+                break
             labels.append(label if label is not None else f"star{len(labels)}")
-            rows.append(vec / norm)
+            line_nos.append(line_no)
+    dims = {len(r) for r in rows}
+    width = max(dims, default=0)
+    if len(dims) > 1:  # padded with zeros, so a bad direction is still reported first
+        rows = [r + [0.0] * (width - len(r)) for r in rows]
+    stars = np.array(rows, dtype=float).reshape(len(rows), width)
+    # the stacked (1 x n)(n x 1) products take the dot of np.linalg.norm on one
+    # row, so each unit row is bitwise the row-by-row one; an overflowing row
+    # reads inf and is rejected below
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((stars[:, None, :] @ stars[:, :, None]).ravel())
+    bad = np.flatnonzero(~((norms >= 1e-12) & (norms < math.inf)))
+    if bad.size:
+        raise ElementParseError(f"{path}:{line_nos[bad[0]]}: direction must be finite and nonzero")
+    if unreadable is not None:
+        raise ElementParseError(f"{path}:{unreadable}: bad catalog row")
     if not rows:
         raise ElementParseError(f"{path}: empty catalog")
-    if len({r.size for r in rows}) != 1:
+    if len(dims) != 1:
         raise ElementParseError(f"{path}: inconsistent dimensions")
-    return labels, np.vstack(rows)
+    return labels, stars / norms[:, None]
 
 
 def _shift_table(labels, stars: np.ndarray, shifted: np.ndarray) -> str:
@@ -309,7 +324,7 @@ def starfield(v_text, w_text, count, fmt, out_path):
 @click.option("--trials", default=1000, show_default=True, type=click.IntRange(min=1),
               help="Trials per configuration.")
 @click.option("--seed", default=42, show_default=True, type=click.IntRange(min=0),
-              help="Master seed; trial i uses seed XOR i.")
+              help="Master seed; trial i draws from default_rng([seed, i]).")
 @click.option("-a", "--algebra", "key", default="all", show_default=True,
               type=click.Choice(["all", *CONFIGS]), help="Verification lane.")
 @click.option("--tier", type=click.Choice(["normal", "stress"]), default="normal", show_default=True)
@@ -339,8 +354,8 @@ def verify(trials, seed, key, tier):
             f"max_rotation_error={report.max_rotation_error:.3e} "
             f"failures={len(report.failures)} {status}"
         )
-        for trial_seed, inputs, errors in report.failures[:10]:
-            click.echo(f"  failing seed {trial_seed}: {inputs} -> {errors}", err=True)
+        for (master, index), inputs, errors in report.failures[:10]:
+            click.echo(f"  failing seed {master} trial {index}: {inputs} -> {errors}", err=True)
         any_failures = any_failures or not report.ok
     if any_failures:
         sys.exit(1)

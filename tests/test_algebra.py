@@ -15,7 +15,7 @@ from menhir.algebra import (
     vector_embed,
     vector_part,
 )
-from util import ball_vector, random_element
+from util import ball_vector, random_element, reference_mul_coeffs, reference_sign_table
 
 ALGEBRAS = [REAL, COMPLEX, QUATERNION, clifford(2), clifford(3), clifford(4), clifford(5)]
 
@@ -277,3 +277,54 @@ def test_clifford3_antiautomorphism_hypothesis(values):
     p = algebra.element(values + [0.0] * (algebra.dim - 8))
     q = algebra.element([0.0] * (algebra.dim - 8) + values)
     assert (p * q).conjugate().allclose(q.conjugate() * p.conjugate(), atol=1e-9)
+
+
+# -- table-driven kernel against the loop-based references --------------------------
+# The kernel rounds the same terms and sums them in the same order as the
+# blade-by-blade loop, so products must be equal, not merely close.
+
+def test_sign_table_matches_reference():
+    for n in range(8):
+        algebra = clifford(n) if n else REAL
+        dim = algebra.dim
+        idx = np.arange(dim)
+        assert algebra._xor.dtype == np.uint16
+        assert np.array_equal(algebra._xor, idx[:, None] ^ idx[None, :])
+        # k-indexed: _sign[i, k] is the sign of e_i e_(i^k)
+        assert np.array_equal(algebra._sign, reference_sign_table(n)[idx[:, None], idx[:, None] ^ idx])
+
+
+_COEFF = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+_SPARSE_COEFF = st.one_of(st.just(0.0), _COEFF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mul_coeffs_matches_reference_hypothesis(data):
+    n = data.draw(st.integers(0, 6))
+    algebra = clifford(n) if n else REAL
+    coeff = data.draw(st.sampled_from([_COEFF, _SPARSE_COEFF]))  # dense or sparse operands
+    a, b, c = (np.array(data.draw(st.lists(coeff, min_size=algebra.dim, max_size=algebra.dim)))
+               for _ in range(3))
+    assert np.array_equal(algebra.mul_coeffs(a, b), reference_mul_coeffs(algebra, a, b))
+    # stacked right operands: one product per row
+    stacked = algebra.mul_coeffs(a, np.stack([b, c]))
+    assert np.array_equal(stacked[0], algebra.mul_coeffs(a, b))
+    assert np.array_equal(stacked[1], algebra.mul_coeffs(a, c))
+
+
+def test_mul_coeffs_matches_reference_clifford10():
+    algebra = clifford(10)
+    rng = np.random.default_rng(11)
+    vectors = [1 << i for i in range(10)]
+    for _ in range(20):
+        a = np.zeros(algebra.dim)
+        a[rng.choice(algebra.dim, size=12, replace=False)] = rng.standard_normal(12)
+        # sparse rows times a dense operand, then the calculus' operands:
+        # vector times vector, scalar + bivector times vector
+        e, f = np.zeros(algebra.dim), np.zeros(algebra.dim)
+        e[vectors], f[vectors] = rng.standard_normal(10), rng.standard_normal(10)
+        denominator = algebra.one.coeffs + algebra.mul_coeffs(e, f)
+        for p, q in ((a, rng.standard_normal(algebra.dim)), (e, f), (denominator, e)):
+            assert np.array_equal(algebra.mul_coeffs(p, q), reference_mul_coeffs(algebra, p, q))
+

@@ -6,6 +6,7 @@ import pytest
 from menhir.algebra import COMPLEX, QUATERNION, REAL, clifford, vector_embed
 from menhir.calculus import (
     MoebiusMatrix,
+    RotationDescriptor,
     SuperluminalError,
     compose_menhirs,
     compose_velocities,
@@ -20,7 +21,8 @@ from menhir.calculus import (
 )
 from menhir.lorentz import axis_projection_shift, boost_matrix
 from menhir.reversions import revert
-from util import ball_vector, random_menhir, unit_vector
+from menhir.verify import CONFIGS
+from util import ball_vector, random_menhir, reference_rotation_matrix, unit_vector
 
 ALL = [(REAL, 1), (COMPLEX, 2), (QUATERNION, 3), (QUATERNION, 4),
        (clifford(2), 2), (clifford(3), 3), (clifford(4), 4), (clifford(5), 5)]
@@ -322,6 +324,22 @@ def test_thomas_rotation_pair_has_equal_norms():
         for _ in range(100):
             rot = thomas_rotation(random_menhir(rng, algebra, n), random_menhir(rng, algebra, n))
             assert abs(rot.alpha.norm() - rot.beta.norm()) <= 1e-12
+
+
+def test_rotation_matrix_matches_sandwich_reference():
+    rng = np.random.default_rng(29)
+    lanes = list(CONFIGS.values()) + [(clifford(10), 10)]
+    for algebra, n in lanes:
+        for _ in range(3 if algebra.n_gen == 10 else 50):
+            rot = thomas_rotation(random_menhir(rng, algebra, n), random_menhir(rng, algebra, n))
+            assert np.abs(rot.matrix(n) - reference_rotation_matrix(rot, n)).max() <= 1e-14
+
+
+def test_rotation_matrix_rejects_an_off_model_pair():
+    algebra = clifford(3)
+    e1 = algebra.basis_blade(1)
+    with pytest.raises(ValueError):
+        RotationDescriptor(1.0 + e1, algebra.one).matrix(3)
 
 
 def test_collinear_real_menhirs_match_scalar_formula():

@@ -86,6 +86,27 @@ def test_compose_exit_codes(runner):
         assert result.exit_code == 2, (tag, text, result.output)
 
 
+def test_huge_velocity_is_one_clean_error(runner, tmp_path):
+    # |v| overflows a sum of squares; the speed check must still see a finite
+    # huge norm and report it once, with no numpy warning on stderr (warnings
+    # are recorded, not printed, under pytest, so they are raised here)
+    catalog = tmp_path / "stars.csv"
+    catalog.write_text("a,1,0,0\n")
+    cases = (
+        ["compose", "-a", "clifford2", "-v", "[1e200,0]", "-w", "[0,0]"],
+        ["compose", "-a", "complex", "-v", "1e200", "-w", "0"],
+        ["compose", "-a", "quaternion", "-v", "1e200i", "-w", "0"],
+        ["aberrate", "-v", "[1e200,0,0]", "--catalog", str(catalog), "--out", "-"],
+    )
+    for args in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 3, (args, result.exception)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (args, lines)
+
+
 # floats a user could type: NaN, inf, zero, subnormals and values near +-1
 _TYPED_FLOATS = st.one_of(
     st.floats(),
@@ -169,6 +190,24 @@ def test_aberrate_one_dimensional_catalog(runner, tmp_path):
         _, before, after = line.split(",")
         assert float(before) == target
         assert float(after) == pytest.approx(target, abs=1e-12)
+
+
+def test_catalog_errors_name_the_first_bad_row(runner, tmp_path):
+    catalog = tmp_path / "stars.csv"
+    cases = (
+        ("# head\n1,0\n\n0,0\nq,1,x\n", "stars.csv:4: direction must be finite and nonzero"),
+        ("1,0\nq,1,x\n0,0\n", "stars.csv:2: bad catalog row"),
+        ("1,0\n1,2,3\n1e200,0\n", "stars.csv:3: direction must be finite and nonzero"),
+        ("1,0\n1,2,3\n", "stars.csv: inconsistent dimensions"),
+        ("# nothing\n", "stars.csv: empty catalog"),
+    )
+    for rows, message in cases:
+        catalog.write_text(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["aberrate", "-v", "0.5", "--catalog", str(catalog), "--out", "-"])
+        assert result.exit_code == 2, (rows, result.exception)
+        assert result.stderr.strip().endswith(message), (rows, result.stderr)
 
 
 def test_unusable_input_writes_nothing(runner, tmp_path):

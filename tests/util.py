@@ -1,4 +1,13 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling helpers and reference implementations for the test suite.
+
+The references are the package's first, loop-based algebra code: a scalar
+swap count per pair of blades, a product summed blade by blade over the
+nonzero coefficients of the left operand, and the Thomas rotation matrix
+built by sandwiching each basis vector.  The table-driven kernel in
+`menhir.algebra` is checked against them.
+"""
+
+import functools
 
 import numpy as np
 
@@ -24,3 +33,52 @@ def random_element(rng, algebra, scale=1.0):
 
 def random_menhir(rng, algebra, n, hi=0.9):
     return menhir_of(vector_embed(ball_vector(rng, n, 0.0, hi), algebra))
+
+
+# -- reference implementations ------------------------------------------------------
+
+def reference_blade_sign(a: int, b: int) -> float:
+    """Sign of e_A e_B for blade bitmasks A, B, every generator squaring to -1."""
+    swaps = int(a & b).bit_count()  # each shared generator contributes e_i^2 = -1
+    x = a >> 1
+    while x:
+        swaps += int(x & b).bit_count()
+        x >>= 1
+    return -1.0 if swaps & 1 else 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_sign_row(n_gen: int, a: int) -> np.ndarray:
+    return np.array([reference_blade_sign(a, b) for b in range(1 << n_gen)])
+
+
+def reference_sign_table(n_gen: int) -> np.ndarray:
+    """table[a, b] = sign of e_a e_b, one scalar swap count per entry."""
+    return np.array([_reference_sign_row(n_gen, a) for a in range(1 << n_gen)])
+
+
+def reference_mul_coeffs(algebra, a, b) -> np.ndarray:
+    """Coefficients of a b, summed blade by blade over the nonzero a_i."""
+    idx = np.arange(algebra.dim)
+    out = np.zeros(algebra.dim)
+    for i in np.flatnonzero(a):
+        out[idx ^ i] += a[i] * (_reference_sign_row(algebra.n_gen, int(i)) * b)
+    return out
+
+
+def reference_rotation_matrix(rotation, model_dim: int) -> np.ndarray:
+    """Matrix of z -> alpha z beta^{-1}: column k is the sandwich of basis
+    vector k, all products by `reference_mul_coeffs`."""
+    algebra = rotation.algebra
+    beta = rotation.beta.coeffs
+    conj = beta * algebra.conj_sign
+    beta_inv = conj / reference_mul_coeffs(algebra, beta, conj)[0]
+    idx = algebra.model_indices(model_dim)
+    cols = []
+    for k in range(model_dim):
+        basis = np.zeros(algebra.dim)
+        basis[idx[k]] = 1.0
+        image = reference_mul_coeffs(
+            algebra, reference_mul_coeffs(algebra, rotation.alpha.coeffs, basis), beta_inv)
+        cols.append(image[idx])
+    return np.column_stack(cols)
