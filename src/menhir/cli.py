@@ -167,9 +167,10 @@ def _parse_vector_velocity(text: str, n: int | None) -> np.ndarray:
 
 
 def _read_catalog(path: str):
-    """Labels and unit star directions of a catalog file.  The rows are read
-    into one array and normalised together; an error names the first bad row."""
-    labels, rows, line_nos, unreadable = [], [], [], None
+    """Labels and unit star directions of a catalog file.  Each row is checked
+    as it is read, so an error names the first bad row; the rows are then
+    normalised together in one array."""
+    labels, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -183,31 +184,22 @@ def _read_catalog(path: str):
                 label = fields[0].strip()
                 fields = fields[1:]
             try:
-                rows.append(list(map(float, fields)))
-            except ValueError:
-                unreadable = line_no
-                break
+                row = list(map(float, fields))
+            except ValueError as exc:
+                raise ElementParseError(f"{path}:{line_no}: bad catalog row") from exc
+            # |row|^2 in Python floats: an overflowing row reads inf, with no warning
+            if not 1e-24 <= sum(x * x for x in row) < math.inf:
+                raise ElementParseError(f"{path}:{line_no}: direction must be finite and nonzero")
             labels.append(label if label is not None else f"star{len(labels)}")
-            line_nos.append(line_no)
-    dims = {len(r) for r in rows}
-    width = max(dims, default=0)
-    if len(dims) > 1:  # padded with zeros, so a bad direction is still reported first
-        rows = [r + [0.0] * (width - len(r)) for r in rows]
-    stars = np.array(rows, dtype=float).reshape(len(rows), width)
-    # the stacked (1 x n)(n x 1) products take the dot of np.linalg.norm on one
-    # row, so each unit row is bitwise the row-by-row one; an overflowing row
-    # reads inf and is rejected below
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((stars[:, None, :] @ stars[:, :, None]).ravel())
-    bad = np.flatnonzero(~((norms >= 1e-12) & (norms < math.inf)))
-    if bad.size:
-        raise ElementParseError(f"{path}:{line_nos[bad[0]]}: direction must be finite and nonzero")
-    if unreadable is not None:
-        raise ElementParseError(f"{path}:{unreadable}: bad catalog row")
+            rows.append(row)
     if not rows:
         raise ElementParseError(f"{path}: empty catalog")
-    if len(dims) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise ElementParseError(f"{path}: inconsistent dimensions")
+    stars = np.array(rows)
+    # the stacked (1 x n)(n x 1) products take the dot of np.linalg.norm on one
+    # row, so each unit row is bitwise the row-by-row one
+    norms = np.sqrt((stars[:, None, :] @ stars[:, :, None]).ravel())
     return labels, stars / norms[:, None]
 
 
