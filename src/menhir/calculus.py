@@ -18,6 +18,7 @@ which holds entrywise in every supported algebra.  Functions here operate on
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -92,6 +93,43 @@ def compose_menhirs(e1: Element, e2: Element) -> Element:
     return (e1 + e2) / (1.0 + e1.conjugate() * e2)
 
 
+@functools.lru_cache(maxsize=None)
+def _bivector_slots(n_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blade masks of the bivectors e_i e_j (i < j), and the arrays of i and j."""
+    i, j = np.triu_indices(n_gen, 1)
+    return (1 << i) | (1 << j), i, j
+
+
+def _rotor_angle(q: Element) -> float | None:
+    """Angle 2 atan2(|B|, |s|) of the plane rotation z -> q z q^{-1} for
+    q = s + B with B a simple bivector; every imaginary quaternion counts as
+    one.  None when q has a part of another grade, B is not simple or q is
+    (nearly) zero: such a q is no rotor."""
+    algebra, c = q.algebra, q.coeffs
+    if algebra.kind == "quaternion":
+        b = c[1:]
+    else:
+        masks, i, j = _bivector_slots(algebra.n_gen)
+        b = c[masks]
+        if np.count_nonzero(c[1:]) != np.count_nonzero(b):
+            return None
+    s, nb = float(c[0]), math.hypot(*b.tolist())
+    scale = s * s + nb * nb
+    if not scale > 1e-290:
+        return None
+    if algebra.kind == "clifford":
+        # B is simple iff its antisymmetric matrix f has rank 2, i.e.
+        # f^3 = -|B|^2 f; the bound keeps |B ^ B| below the 1e-10 that
+        # `Element.inverse` allows, so no pair accepted here would raise there
+        f = np.zeros((algebra.n_gen, algebra.n_gen))
+        f[i, j] = b
+        f -= f.T
+        residual = np.abs(f @ f @ f + (nb * nb) * f).max(initial=0.0)
+        if residual > 1e-12 * nb * max(1.0, scale):
+            return None
+    return 2.0 * math.atan2(nb, abs(s))
+
+
 class RotationDescriptor:
     """The rotational factor of a two-boost composition, as a sandwich pair.
 
@@ -137,7 +175,15 @@ class RotationDescriptor:
 
     def angle(self, model_dim: int | None = None) -> float:
         """Rotation angle: signed in the plane for the complex model, else the
-        unsigned principal angle (two-boost rotations are simple rotations)."""
+        unsigned principal angle (two-boost rotations are simple rotations).
+
+        When the pair is a rotor, alpha = beta = s + B with B a simple
+        bivector (any imaginary quaternion is one), as `thomas_rotation`
+        builds for Clifford vectors and imaginary quaternions, the angle is
+        the closed form 2 atan2(|B|, |s|), with no matrix and no algebra
+        product.  Any other pair goes through `matrix`, whose trace gives the
+        cosine; it raises as `matrix` does for a pair that is not invertible
+        or does not preserve the model."""
         kind = self.algebra.kind
         if kind == "real":
             return 0.0
@@ -146,6 +192,11 @@ class RotationDescriptor:
             return math.atan2(r.coeffs[1], r.coeffs[0])
         if model_dim is None:
             model_dim = self.algebra.default_model_dim()
+        self.algebra.model_indices(model_dim)  # raises for a model the algebra lacks
+        if np.array_equal(self.alpha.coeffs, self.beta.coeffs):
+            theta = _rotor_angle(self.alpha)
+            if theta is not None:
+                return theta
         o = self.matrix(model_dim)
         c = (np.trace(o) - (model_dim - 2)) / 2.0
         return float(np.arccos(np.clip(c, -1.0, 1.0)))
@@ -247,19 +298,18 @@ def rotation_axis_angle(e1: Element, e2: Element, atol: float = 1e-12):
     """Axis and angle of the Thomas rotation for purely imaginary quaternion menhirs.
 
     The sandwich element is q = 1 - e2 e1; axis = normalized Im q (None when the
-    rotation is trivial), angle = 2 arccos(Re q / |q|) in [0, pi).
+    rotation is trivial), angle = 2 atan2(|Im q|, Re q) in [0, pi), the closed
+    form that `RotationDescriptor.angle` uses.
     """
     for e in (e1, e2):
         if e.algebra.kind != "quaternion" or abs(e.coeffs[0]) > atol:
             raise ValueError("menhirs must be purely imaginary quaternions")
     q = 1.0 - e2 * e1
-    qn = q.norm()
-    angle = 2.0 * math.acos(min(1.0, max(-1.0, q.scalar_part() / qn)))
     im = q.coeffs[1:]
     im_norm = float(np.linalg.norm(im))
-    if im_norm <= 1e-14 * qn:
+    if im_norm <= 1e-14 * q.norm():
         return None, 0.0
-    return im / im_norm, angle
+    return im / im_norm, _rotor_angle(q)
 
 
 # -- menhir/velocity discrepancy ------------------------------------------------

@@ -8,16 +8,20 @@ Scalars and unit symbols combine into sums of terms; whitespace is ignored:
                               "[c0,...,c_{2^n-1}]" dense blade coefficients
                               (length n versus 2^n disambiguates; n < 2^n always)
 
-Formatting is the inverse: coefficients that are exactly representable as small
-rationals print as `p/q`, everything else as `repr(float)`, so emitted text
-round-trips bit for bit.
+Formatting is the inverse.  An integral coefficient prints as an integer, one
+within 4 ulps of a rational p/q with q <= 10^6 as `p/q`, anything else as
+`repr(float)`, so emitted text parses back to within 4 ulps.  The rational is
+the continued-fraction best approximation of `Fraction.limit_denominator`,
+computed in plain ints.  A nonzero value below 5e-7 in magnitude (rounding
+residues, subnormals) always prints as its repr: no such p/q but 0 lies within
+4 ulps of it.  Zero coefficients print as "0" without that search, which
+matters for the 2^n coefficients of a Clifford element.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 import numpy as np
 
@@ -138,15 +142,46 @@ def parse_element(text: str, algebra: Algebra) -> Element:
     return Element(algebra, coeffs)
 
 
+#: largest denominator of a printed rational
+_MAX_DENOMINATOR = 1_000_000
+
+
+def _best_rational(x: float) -> tuple[int, int]:
+    """`Fraction(x).limit_denominator(_MAX_DENOMINATOR)` as (p, q): the closest
+    p/q with q <= _MAX_DENOMINATOR, the last convergent winning a tie with the
+    semiconvergent."""
+    num, den = x.as_integer_ratio()
+    if den <= _MAX_DENOMINATOR:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > _MAX_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (_MAX_DENOMINATOR - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |p2/q2 - x|, both sides multiplied by q1 q2 den
+    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
 def format_number(x: float) -> str:
-    """Text for a float: a small rational when one sits within a few ulps,
-    otherwise the full repr.  Either form parses back to within 4 ulps."""
+    """Text for a finite float: an integer when x is integral, a small rational
+    when one sits within 4 ulps, otherwise the full repr.  Either form parses
+    back to within 4 ulps."""
     x = float(x)
-    if x == int(x) and abs(x) < 1e15:
+    if x.is_integer():
         return str(int(x))
-    frac = Fraction(x).limit_denominator(1_000_000)
-    if abs(float(frac) - x) <= 4 * math.ulp(x):
-        return f"{frac.numerator}/{frac.denominator}"
+    if abs(x) < 5e-7:
+        return repr(x)
+    p, q = _best_rational(x)
+    if abs(p / q - x) <= 4 * math.ulp(x):
+        return f"{p}/{q}"
     return repr(x)
 
 
@@ -167,7 +202,8 @@ def format_element(x: Element) -> str:
             values = x.coeffs[idx]
         else:
             values = x.coeffs
-        return "[" + ",".join(format_number(v) for v in values) + "]"
+        texts = ("0" if v == 0.0 else format_number(v) for v in values.tolist())
+        return "[" + ",".join(texts) + "]"
     units = ["", "i", "j", "k"][: algebra.dim]
     parts = []
     for value, unit in zip(x.coeffs, units):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+import menhir.cli
+import menhir.parsing
 from menhir.algebra import Algebra, clifford
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -38,3 +40,8 @@ def test_traced_product_signature_and_rows():
     b = np.arange(8.0)
     assert np.array_equal(traced(algebra, a, b), algebra.mul_coeffs(a, b))
     assert list(tracer.gens) == [3] and list(tracer.rows) == [3]
+
+
+def test_cli_formats_through_the_traced_function():
+    # the `parsing.format_element` span only sees calls made through this name
+    assert menhir.cli.format_element is menhir.parsing.format_element

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from menhir.algebra import COMPLEX, QUATERNION, REAL, clifford, vector_embed
+from menhir.algebra import (
+    COMPLEX,
+    QUATERNION,
+    REAL,
+    SingularElementError,
+    UnsupportedDimensionError,
+    clifford,
+    vector_embed,
+)
 from menhir.calculus import (
     MoebiusMatrix,
     RotationDescriptor,
@@ -21,8 +29,14 @@ from menhir.calculus import (
 )
 from menhir.lorentz import axis_projection_shift, boost_matrix
 from menhir.reversions import revert
-from menhir.verify import CONFIGS
-from util import ball_vector, random_menhir, reference_rotation_matrix, unit_vector
+from menhir.verify import CONFIGS, TIERS, sample_velocity
+from util import (
+    ball_vector,
+    random_menhir,
+    reference_angle,
+    reference_rotation_matrix,
+    unit_vector,
+)
 
 ALL = [(REAL, 1), (COMPLEX, 2), (QUATERNION, 3), (QUATERNION, 4),
        (clifford(2), 2), (clifford(3), 3), (clifford(4), 4), (clifford(5), 5)]
@@ -340,6 +354,65 @@ def test_rotation_matrix_rejects_an_off_model_pair():
     e1 = algebra.basis_blade(1)
     with pytest.raises(ValueError):
         RotationDescriptor(1.0 + e1, algebra.one).matrix(3)
+
+
+def test_closed_form_angle_matches_trace_reference():
+    """`angle` against the arccos of the trace of `matrix`, on every lane in
+    both tiers and on clifford10.  That cosine is good to about n * 1e-15, so
+    its arccos is off by up to n * 1e-15 / sin(theta) near 0 and pi (2.5e-10
+    at theta = 3.9e-7 against a 40-digit value, where the closed form is off
+    by 5e-23); the comparison allows that much on top of 1e-11.  For rotor
+    pairs the same matrix read as atan2(sine, cosine), with the sine from its
+    antisymmetric part, must agree to 1e-11 at every angle."""
+    rng = np.random.default_rng(30)
+    lanes = list(CONFIGS.values()) + [(clifford(10), 10)]
+    for algebra, n in lanes:
+        for lo, hi, _ in TIERS.values():
+            for _ in range(5 if n == 10 else 200):
+                v, w = sample_velocity(rng, n, lo, hi), sample_velocity(rng, n, lo, hi)
+                rot = thomas_rotation(menhir_of(vector_embed(v, algebra)),
+                                      menhir_of(vector_embed(w, algebra)))
+                theta, ref = rot.angle(n), reference_angle(rot, n)
+                assert abs(theta - ref) <= 1e-11 + n * 1e-15 / max(math.sin(ref), 2e-8)
+                if np.array_equal(rot.alpha.coeffs, rot.beta.coeffs):
+                    o = rot.matrix(n)
+                    sine = np.linalg.norm(o - o.T) / (2.0 * math.sqrt(2.0))
+                    assert abs(theta - math.atan2(sine, (np.trace(o) - (n - 2)) / 2.0)) <= 1e-11
+
+
+def test_rotor_angle_needs_no_matrix(monkeypatch):
+    def no_matrix(self, model_dim):
+        raise AssertionError("matrix() called for a rotor pair")
+
+    rng = np.random.default_rng(31)
+    cases = [(QUATERNION, 3), (clifford(2), 2), (clifford(3), 3), (clifford(5), 5),
+             (clifford(10), 10)]
+    expected = []
+    for algebra, n in cases:
+        rot = thomas_rotation(random_menhir(rng, algebra, n), random_menhir(rng, algebra, n))
+        expected.append((rot, reference_angle(rot, n)))
+    monkeypatch.setattr(RotationDescriptor, "matrix", no_matrix)
+    for rot, ref in expected:
+        assert abs(rot.angle() - ref) <= 1e-11
+
+
+def test_angle_error_types_unchanged():
+    c3, c4 = clifford(3), clifford(4)
+    # alpha != beta and off the model: matrix() raises ValueError
+    with pytest.raises(ValueError):
+        RotationDescriptor(1.0 + c3.basis_blade(1), c3.one).angle(3)
+    # alpha = beta, but no rotor: a non-simple bivector, a trivector part
+    for a in (1.0 + c4.basis_blade(0b0011) + c4.basis_blade(0b1100),
+              0.8 + 0.6 * c3.basis_blade(0b011) + 0.1 * c3.basis_blade(0b111)):
+        with pytest.raises(SingularElementError):
+            RotationDescriptor(a, a).angle()
+    # a zero pair is no rotor either
+    with pytest.raises(SingularElementError):
+        RotationDescriptor(c3.zero, c3.zero).angle()
+    # a model the algebra does not have
+    rot = thomas_rotation(c3.zero, c3.zero)
+    with pytest.raises(UnsupportedDimensionError):
+        rot.angle(4)
 
 
 def test_collinear_real_menhirs_match_scalar_formula():

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from menhir.algebra import COMPLEX, QUATERNION, REAL, clifford
+from menhir.algebra import COMPLEX, QUATERNION, REAL, clifford, vector_embed
+from menhir.calculus import compose_menhirs, thomas_rotation, velocity_of
 from menhir.parsing import (
     ElementParseError,
     format_element,
@@ -10,6 +15,7 @@ from menhir.parsing import (
     parse_element,
     parse_number,
 )
+from util import random_menhir, reference_format_element, reference_format_number
 
 
 def test_parse_numbers():
@@ -103,3 +109,78 @@ def test_format_examples():
     assert format_element(QUATERNION.zero) == "0"
     vec = format_element(clifford(2).element([0, 0.5, 0.25, 0]))
     assert vec == "[1/2,1/4]"
+
+
+def test_format_number_tiny_and_integral_values():
+    # a nonzero subnormal keeps its value and sign; an integral value never
+    # prints as "N/1", however large
+    cases = {
+        -1e-323: "-1e-323",
+        5e-324: "5e-324",
+        1e16: "10000000000000000",
+        -(2.0**60): str(-(2**60)),
+        1e15: "1000000000000000",
+    }
+    for x, text in cases.items():
+        assert format_number(x) == text
+        assert parse_number(text) == x
+
+
+def _nudged(p: int, q: int, ulps: int) -> float:
+    x = p / q
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _changed_on_purpose(x: float) -> bool:
+    """Inputs the Fraction reference prints as "0/1" or "N/1"."""
+    return (x.is_integer() and abs(x) >= 1e15) or 0.0 < abs(x) <= 4 * math.ulp(0.0)
+
+
+def _signed(lo: float, hi: float):
+    return st.floats(lo, hi) | st.floats(-hi, -lo)
+
+
+FORMAT_INPUTS = st.one_of(
+    st.builds(_nudged, st.integers(-3_000_000, 3_000_000), st.integers(1, 10**6),
+              st.integers(-6, 6)),
+    _signed(5e-7, 1e-5),
+    _signed(1e-19, 1e-17),
+    # many p/q lie within 4 ulps of a large value; the semiconvergent often wins
+    _signed(1e3, 1e12),
+    st.integers(-(10**15) + 1, 10**15 - 1).map(float),
+    st.just(-0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+).filter(lambda x: not _changed_on_purpose(x))
+
+
+@settings(max_examples=500, deadline=None)
+@given(FORMAT_INPUTS)
+def test_format_number_matches_fraction_reference(x):
+    assert format_number(x) == reference_format_number(x)
+
+
+def test_format_element_matches_reference():
+    rng = np.random.default_rng(61)
+    lanes = [(REAL, 1), (COMPLEX, 2), (QUATERNION, 3), (QUATERNION, 4),
+             (clifford(3), 3), (clifford(5), 5), (clifford(10), 10)]
+    dense_clifford10 = 0
+    for algebra, n in lanes:
+        for _ in range(4 if n == 10 else 40):
+            e1, e2 = random_menhir(rng, algebra, n), random_menhir(rng, algebra, n)
+            rot = thomas_rotation(e1, e2)
+            composite = compose_menhirs(e1, e2)
+            outputs = [e1, composite, velocity_of(composite), rot.alpha, rot.beta]
+            if algebra.kind in ("real", "complex"):
+                outputs.append(rot.rho())
+            for x in outputs:
+                text = format_element(x)
+                assert text == reference_format_element(x)
+                dense_clifford10 += n == 10 and text.count(",") == algebra.dim - 1
+        # exact rationals and zeros, as the command line prints them
+        x = vector_embed(np.full(n, 0.5), algebra)
+        assert format_element(x) == reference_format_element(x)
+    # the clifford10 outputs carry rounding residues outside the vector model,
+    # so they print every coefficient
+    assert dense_clifford10 > 0

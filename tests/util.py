@@ -4,10 +4,14 @@ The references are the package's first, loop-based algebra code: a scalar
 swap count per pair of blades, a product summed blade by blade over the
 nonzero coefficients of the left operand, and the Thomas rotation matrix
 built by sandwiching each basis vector.  The table-driven kernel in
-`menhir.algebra` is checked against them.
+`menhir.algebra` is checked against them.  So are the closed-form Thomas
+angle, against the angle read from the trace of the rotation matrix, and the
+number formatting of `menhir.parsing`, against `Fraction.limit_denominator`.
 """
 
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,3 +86,51 @@ def reference_rotation_matrix(rotation, model_dim: int) -> np.ndarray:
             algebra, reference_mul_coeffs(algebra, rotation.alpha.coeffs, basis), beta_inv)
         cols.append(image[idx])
     return np.column_stack(cols)
+
+
+def reference_angle(rotation, model_dim=None) -> float:
+    """Principal rotation angle read from the trace of `rotation.matrix`,
+    arccos((tr - (n - 2)) / 2); the planar angle of rho for the complexes."""
+    kind = rotation.algebra.kind
+    if kind == "real":
+        return 0.0
+    if kind == "complex":
+        r = rotation.rho()
+        return math.atan2(r.coeffs[1], r.coeffs[0])
+    if model_dim is None:
+        model_dim = rotation.algebra.default_model_dim()
+    o = rotation.matrix(model_dim)
+    c = (np.trace(o) - (model_dim - 2)) / 2.0
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def reference_format_number(x: float) -> str:
+    """Integers below 1e15 as integers, else `Fraction.limit_denominator(10**6)`
+    when within 4 ulps, else repr."""
+    x = float(x)
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    frac = Fraction(x).limit_denominator(1_000_000)
+    if abs(float(frac) - x) <= 4 * math.ulp(x):
+        return f"{frac.numerator}/{frac.denominator}"
+    return repr(x)
+
+
+def reference_format_element(x) -> str:
+    """`format_element` with every coefficient through `reference_format_number`."""
+    algebra = x.algebra
+    if algebra.kind == "clifford":
+        idx = algebra.model_indices(algebra.n_gen)
+        rest = np.delete(x.coeffs, idx)
+        values = x.coeffs[idx] if rest.size == 0 or np.abs(rest).max() == 0.0 else x.coeffs
+        return "[" + ",".join(reference_format_number(v) for v in values) + "]"
+    parts = []
+    for value, unit in zip(x.coeffs, ["", "i", "j", "k"]):
+        if value == 0.0:
+            continue
+        body = reference_format_number(abs(value))
+        if unit and body == "1":
+            body = ""
+        sign = "-" if value < 0 else ("+" if parts else "")
+        parts.append(sign + body + unit)
+    return "".join(parts) if parts else "0"
