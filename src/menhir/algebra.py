@@ -31,6 +31,12 @@ over the blades of a.  The sign is the
 parity of the generator swaps and squares, popcount(B & (A ^ A>>1 ^ ...)) for
 A = i, B = i ^ k, so both tables are built with array operations on uint16
 blade masks.
+
+Coefficients are validated once, where they enter: `Algebra.element` (and the
+text parsers, which build their arrays themselves) turns its input into a
+float64 array of length 2^n and raises ValueError otherwise.  Every other
+constructor, and every ring operation, already produces such an array, so
+`Element` itself only stores what it is given.
 """
 
 from __future__ import annotations
@@ -91,7 +97,8 @@ def _blade_tables(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
 class Algebra:
     """Multiplication and conjugation tables over 2**n_gen basis blades."""
 
-    __slots__ = ("kind", "n_gen", "dim", "_sign", "_xor", "conj_sign", "grades", "blade_names")
+    __slots__ = ("kind", "n_gen", "dim", "_sign", "_xor", "conj_sign", "grades", "blade_names",
+                 "_models")
 
     def __init__(self, kind: str, n_gen: int):
         if kind not in ("real", "complex", "quaternion", "clifford"):
@@ -107,6 +114,15 @@ class Algebra:
         # (-1)^(k(k+1)/2): + - - + repeating in the grade
         self.conj_sign = np.where(np.isin(self.grades % 4, (0, 3)), 1.0, -1.0)
         self.blade_names = self._names()
+        models = {
+            "real": {1: [0]},
+            "complex": {1: [0], 2: [0, 1]},
+            "quaternion": {3: [1, 2, 3], 4: [0, 1, 2, 3]},  # imaginary or full
+            "clifford": {n_gen: [1 << i for i in range(n_gen)]},
+        }[kind]
+        self._models = {dim: np.array(slots) for dim, slots in models.items()}
+        for slots in self._models.values():
+            slots.flags.writeable = False
 
     def _names(self):
         if self.kind == "quaternion":
@@ -148,7 +164,12 @@ class Algebra:
         return self.scalar(0.0)
 
     def element(self, coeffs) -> "Element":
-        return Element(self, np.asarray(coeffs, dtype=float))
+        """Element from any sequence of 2^n real coefficients; the one place
+        where outside coefficients are converted and checked."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} coefficients, got {coeffs.shape}")
+        return Element(self, coeffs)
 
     def basis_blade(self, mask: int) -> "Element":
         coeffs = np.zeros(self.dim)
@@ -156,19 +177,14 @@ class Algebra:
         return Element(self, coeffs)
 
     def model_indices(self, model_dim: int) -> np.ndarray:
-        """Coefficient slots representing a vector of the given spatial dimension."""
-        kind = self.kind
-        if kind == "real" and model_dim == 1:
-            return np.array([0])
-        if kind == "complex" and model_dim in (1, 2):
-            return np.arange(model_dim)
-        if kind == "quaternion" and model_dim in (3, 4):
-            return np.arange(4 - model_dim, 4)  # (1,2,3) imaginary or (0,1,2,3) full
-        if kind == "clifford" and model_dim == self.n_gen:
-            return np.array([1 << i for i in range(self.n_gen)])
-        raise UnsupportedDimensionError(
-            f"{self!r} has no {model_dim}-dimensional vector model"
-        )
+        """Coefficient slots representing a vector of the given spatial
+        dimension, as a shared read-only array."""
+        try:
+            return self._models[model_dim]
+        except KeyError:
+            raise UnsupportedDimensionError(
+                f"{self!r} has no {model_dim}-dimensional vector model"
+            ) from None
 
     def default_model_dim(self) -> int:
         return {"real": 1, "complex": 2, "quaternion": 3, "clifford": self.n_gen}[self.kind]
@@ -219,20 +235,24 @@ def algebra_for_dimension(n: int) -> Algebra:
     return clifford(n)
 
 
+_SCALARS = (int, float, np.integer, np.floating)
+
+
 class Element:
     """A value in one of the supported algebras, as a flat blade-coefficient array.
 
     Elements are immutable by convention.  `*` is the algebra product, `/` is
     right division p q^{-1} (the fraction convention used throughout), and
     plain numbers coerce to scalars of the same algebra.
+
+    The constructor stores `coeffs` as given, unchecked: it must be a float64
+    array of shape (algebra.dim,).  Build elements from outside data with
+    `Algebra.element`, which checks exactly that.
     """
 
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra: Algebra, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (algebra.dim,):
-            raise ValueError(f"expected {algebra.dim} coefficients, got {coeffs.shape}")
         self.algebra = algebra
         self.coeffs = coeffs
 
@@ -243,13 +263,21 @@ class Element:
                     f"cannot combine {self.algebra!r} with {other.algebra!r}"
                 )
             return other
-        if isinstance(other, (int, float, np.integer, np.floating)):
+        if isinstance(other, _SCALARS):
             return self.algebra.scalar(float(other))
         return NotImplemented
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, Element) and other.algebra is self.algebra:
+            return Element(self.algebra, self.coeffs + other.coeffs)
+        if isinstance(other, _SCALARS):
+            # `+ 0.0` turns a -0.0 slot into +0.0, as adding a whole scalar
+            # element did, so sums stay bitwise what they were
+            coeffs = self.coeffs + 0.0
+            coeffs[0] = self.coeffs[0] + float(other)
+            return Element(self.algebra, coeffs)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -273,7 +301,9 @@ class Element:
         return Element(self.algebra, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
+        if isinstance(other, Element) and other.algebra is self.algebra:
+            return Element(self.algebra, self.algebra.mul_coeffs(self.coeffs, other.coeffs))
+        if isinstance(other, _SCALARS):
             return Element(self.algebra, self.coeffs * float(other))
         other = self._coerce(other)
         if other is NotImplemented:
@@ -281,13 +311,13 @@ class Element:
         return Element(self.algebra, self.algebra.mul_coeffs(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
+        if isinstance(other, _SCALARS):
             return Element(self.algebra, self.coeffs * float(other))
         return NotImplemented
 
     def __truediv__(self, other):
         """Right division p/q = p q^{-1}."""
-        if isinstance(other, (int, float, np.integer, np.floating)):
+        if isinstance(other, _SCALARS):
             return Element(self.algebra, self.coeffs / float(other))
         other = self._coerce(other)
         if other is NotImplemented:
@@ -295,7 +325,7 @@ class Element:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
+        if isinstance(other, _SCALARS):
             return self.algebra.scalar(float(other)) * self.inverse()
         return NotImplemented
 
@@ -376,7 +406,8 @@ def vector_part(x: Element, model_dim: int | None = None, atol: float = 1e-9) ->
         else:
             model_dim = x.algebra.default_model_dim()
     idx = x.algebra.model_indices(model_dim)
-    rest = np.delete(x.coeffs, idx)
-    if rest.size and np.abs(rest).max() > atol:
+    rest = x.coeffs.copy()
+    rest[idx] = 0.0
+    if np.abs(rest).max() > atol:
         raise ValueError(f"element is not a {model_dim}-vector: {x!r}")
-    return x.coeffs[idx].copy()
+    return x.coeffs[idx]

@@ -94,40 +94,77 @@ def compose_menhirs(e1: Element, e2: Element) -> Element:
 
 
 @functools.lru_cache(maxsize=None)
-def _bivector_slots(n_gen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blade masks of the bivectors e_i e_j (i < j), and the arrays of i and j."""
+def _bivector_slots(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blade masks of the bivectors e_i e_j (i < j), and the gather that lays
+    their coefficients b out as an antisymmetric matrix: [b, -b, 0][table]
+    holds b_ij at (i, j) and -b_ij at (j, i)."""
     i, j = np.triu_indices(n_gen, 1)
-    return (1 << i) | (1 << j), i, j
+    m = i.size
+    table = np.full((n_gen, n_gen), 2 * m)
+    table[i, j] = np.arange(m)
+    table[j, i] = m + np.arange(m)
+    return (1 << i) | (1 << j), table
 
 
-def _rotor_angle(q: Element) -> float | None:
-    """Angle 2 atan2(|B|, |s|) of the plane rotation z -> q z q^{-1} for
-    q = s + B with B a simple bivector; every imaginary quaternion counts as
-    one.  None when q has a part of another grade, B is not simple or q is
-    (nearly) zero: such a q is no rotor."""
+_ZERO = np.zeros(1)
+
+
+class _Rotor(NamedTuple):
+    """q = s + B with B a simple bivector, and the plane rotation
+    z -> q z q^{-1} it makes on the vector model.  f is the antisymmetric
+    matrix of B, signed so that the rotation's matrix is
+    I + (2s/|q|^2) f^T + (2/|q|^2) f^2, and f2 = f @ f."""
+
+    s: float
+    norm_b: float
+    f: np.ndarray
+    f2: np.ndarray
+
+    @property
+    def angle(self) -> float:
+        return 2.0 * math.atan2(self.norm_b, abs(self.s))
+
+    def matrix(self) -> np.ndarray:
+        scale = self.s * self.s + self.norm_b * self.norm_b
+        o = (2.0 / scale) * self.f2
+        o -= (2.0 * self.s / scale) * self.f  # f^T = -f
+        o += np.eye(len(o))
+        return o
+
+
+def _rotor(q: Element) -> _Rotor | None:
+    """q as a rotor s + B, B a simple bivector; every imaginary quaternion
+    counts as one.  None when q has a part of another grade, B is not simple
+    or q is (nearly) zero: such a q is no rotor.  This is the one rotor test
+    behind `RotationDescriptor.angle`, `RotationDescriptor.matrix` and
+    `rotation_axis_angle`."""
     algebra, c = q.algebra, q.coeffs
     if algebra.kind == "quaternion":
-        b = c[1:]
+        x, y, z = c[1:].tolist()
+        nb = math.hypot(x, y, z)
+        f = np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
     else:
-        masks, i, j = _bivector_slots(algebra.n_gen)
+        masks, table = _bivector_slots(algebra.n_gen)
         b = c[masks]
         if np.count_nonzero(c[1:]) != np.count_nonzero(b):
             return None
-    s, nb = float(c[0]), math.hypot(*b.tolist())
+        nb = math.hypot(*b.tolist())
+        f = np.concatenate((b, -b, _ZERO))[table]
+    s = float(c[0])
     scale = s * s + nb * nb
     if not scale > 1e-290:
         return None
-    if algebra.kind == "clifford":
-        # B is simple iff its antisymmetric matrix f has rank 2, i.e.
-        # f^3 = -|B|^2 f; the bound keeps |B ^ B| below the 1e-10 that
-        # `Element.inverse` allows, so no pair accepted here would raise there
-        f = np.zeros((algebra.n_gen, algebra.n_gen))
-        f[i, j] = b
-        f -= f.T
-        residual = np.abs(f @ f @ f + (nb * nb) * f).max(initial=0.0)
-        if residual > 1e-12 * nb * max(1.0, scale):
+    f2 = f @ f
+    if algebra.kind == "clifford" and algebra.n_gen > 3:
+        # B is simple iff f has rank 2, i.e. f^3 = -|B|^2 f (always so for
+        # three generators or fewer); the bound keeps |B ^ B| below the 1e-10
+        # that `Element.inverse` allows, so no pair accepted here would raise
+        # there
+        residual = f2 @ f
+        residual += (nb * nb) * f
+        if np.abs(residual, out=residual).max(initial=0.0) > 1e-12 * nb * max(1.0, scale):
             return None
-    return 2.0 * math.atan2(nb, abs(s))
+    return _Rotor(s, nb, f, f2)
 
 
 class RotationDescriptor:
@@ -152,21 +189,47 @@ class RotationDescriptor:
     def apply(self, z: Element) -> Element:
         return self.alpha * z * self.beta.inverse()
 
+    def _as_rotor(self) -> _Rotor | None:
+        """alpha as a rotor when alpha and beta are the same bits, else None."""
+        if self.alpha.coeffs.tobytes() != self.beta.coeffs.tobytes():
+            return None
+        return _rotor(self.alpha)
+
     def rho(self) -> Element:
         """alpha / beta; over the reals and complexes this is the unit rotation number."""
         return self.alpha / self.beta
 
     def matrix(self, model_dim: int) -> np.ndarray:
-        """Orthogonal matrix of the sandwich action on the model vector space.
+        """Matrix of the sandwich action on the model vector space.
 
-        Column k is alpha (e_k beta^{-1}): the right factor is a gather per
-        basis blade and the left product is one stacked `mul_coeffs`.  A
-        column with a coefficient above 1e-6 outside the model raises
-        ValueError (the pair does not preserve the model)."""
-        algebra = self.algebra
-        idx = algebra.model_indices(model_dim)
+        Two kinds of pair take a closed form, with no basis sandwich:
+        - the complex plane (model 2): rho = alpha/beta = c + s i gives
+          [[c, -s], [s, c]];
+        - rotor pairs, alpha = beta = s + B with B a simple bivector, as
+          `thomas_rotation` builds for Clifford vectors and imaginary
+          quaternions (model 3): I + (2s/q) F^T + (2/q) F^2 with F the
+          antisymmetric matrix of B and q = s^2 + |B|^2 (see `_rotor`).
+        Every other pair (the real line, the 4-D quaternion model where
+        alpha != beta, hand-made pairs) is sandwiched: column k is
+        alpha (e_k beta^{-1}), the right factor a gather per basis blade and
+        the left product one stacked `mul_coeffs`.  A column with a
+        coefficient above 1e-6 outside the model raises ValueError (the pair
+        does not preserve the model); a beta with no inverse raises
+        SingularElementError."""
+        algebra, kind = self.algebra, self.algebra.kind
+        if kind == "complex" and model_dim == 2:
+            c, s = self.rho().coeffs.tolist()
+            return np.array([[c, -s], [s, c]])
+        if (kind == "clifford" and model_dim == algebra.n_gen) or (
+                kind == "quaternion" and model_dim == 3):
+            rotor = self._as_rotor()
+            if rotor is not None:
+                return rotor.matrix()
+        idx = algebra.model_indices(model_dim)  # raises for a model the algebra lacks
         right = algebra.blade_mul(idx, self.beta.inverse().coeffs)
         images = algebra.mul_coeffs(self.alpha.coeffs, right)
+        if len(idx) == algebra.dim:  # the model is the whole algebra, in blade order
+            return images.T
         off = images.copy()
         off[:, idx] = 0.0
         if np.abs(off).max() > 1e-6:
@@ -181,9 +244,10 @@ class RotationDescriptor:
         bivector (any imaginary quaternion is one), as `thomas_rotation`
         builds for Clifford vectors and imaginary quaternions, the angle is
         the closed form 2 atan2(|B|, |s|), with no matrix and no algebra
-        product.  Any other pair goes through `matrix`, whose trace gives the
-        cosine; it raises as `matrix` does for a pair that is not invertible
-        or does not preserve the model."""
+        product.  Any other pair goes through `matrix` O, read as
+        atan2(|O - O^T|_F / (2 sqrt 2), (tr O - (n - 2)) / 2), which keeps
+        every digit near 0 and pi; it raises as `matrix` does for a pair
+        that is not invertible or does not preserve the model."""
         kind = self.algebra.kind
         if kind == "real":
             return 0.0
@@ -193,13 +257,12 @@ class RotationDescriptor:
         if model_dim is None:
             model_dim = self.algebra.default_model_dim()
         self.algebra.model_indices(model_dim)  # raises for a model the algebra lacks
-        if np.array_equal(self.alpha.coeffs, self.beta.coeffs):
-            theta = _rotor_angle(self.alpha)
-            if theta is not None:
-                return theta
+        rotor = self._as_rotor()
+        if rotor is not None:
+            return rotor.angle
         o = self.matrix(model_dim)
-        c = (np.trace(o) - (model_dim - 2)) / 2.0
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
+        sine = float(np.linalg.norm(o - o.T)) / (2.0 * math.sqrt(2.0))
+        return math.atan2(sine, (float(np.trace(o)) - (model_dim - 2)) / 2.0)
 
     def __repr__(self):
         return f"RotationDescriptor(alpha={self.alpha!r}, beta={self.beta!r})"
@@ -309,7 +372,7 @@ def rotation_axis_angle(e1: Element, e2: Element, atol: float = 1e-12):
     im_norm = float(np.linalg.norm(im))
     if im_norm <= 1e-14 * q.norm():
         return None, 0.0
-    return im / im_norm, _rotor_angle(q)
+    return im / im_norm, _rotor(q).angle
 
 
 # -- menhir/velocity discrepancy ------------------------------------------------

@@ -328,3 +328,54 @@ def test_mul_coeffs_matches_reference_clifford10():
         for p, q in ((a, rng.standard_normal(algebra.dim)), (e, f), (denominator, e)):
             assert np.array_equal(algebra.mul_coeffs(p, q), reference_mul_coeffs(algebra, p, q))
 
+
+
+# -- the validation boundary -----------------------------------------------------------
+# `Algebra.element` checks outside coefficients; `Element` stores what ring
+# operations hand it, so those must always be float64 arrays of shape (2^n,).
+
+def test_element_checks_its_coefficients():
+    for algebra in ALGEBRAS:
+        for bad in ([0.0] * (algebra.dim + 1), [[0.0] * algebra.dim], 1.0):
+            with pytest.raises(ValueError):
+                algebra.element(bad)
+        x = algebra.element(list(range(algebra.dim)))  # ints become floats
+        assert x.coeffs.dtype == np.float64 and x.coeffs.shape == (algebra.dim,)
+
+
+_RING_SCALAR = st.one_of(
+    st.integers(-1000, 1000),
+    _COEFF,
+    _COEFF.map(np.float64),
+    _COEFF.map(np.float32),
+    st.integers(-1000, 1000).map(np.int64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ring_operations_mixing_scalars_hypothesis(data):
+    n = data.draw(st.integers(0, 5))
+    algebra = clifford(n) if n else REAL
+    p, q = (algebra.element(data.draw(st.lists(_SPARSE_COEFF, min_size=algebra.dim,
+                                                   max_size=algebra.dim)))
+            for _ in range(2))
+    c = data.draw(_RING_SCALAR)
+    scalar = np.zeros(algebra.dim)
+    scalar[0] = float(c)
+    cases = [
+        (p * q, reference_mul_coeffs(algebra, p.coeffs, q.coeffs)),
+        (p + q, p.coeffs + q.coeffs),
+        (p - q, p.coeffs - q.coeffs),
+        (p + c, p.coeffs + scalar),
+        (c + p, scalar + p.coeffs),
+        (p - c, p.coeffs - scalar),
+        (c - p, scalar - p.coeffs),
+        (p * c, p.coeffs * float(c)),
+        (c * p, p.coeffs * float(c)),
+        (-p, -p.coeffs),
+    ]
+    for result, expected in cases:
+        assert isinstance(result, Element) and result.algebra == algebra
+        assert result.coeffs.dtype == np.float64 and result.coeffs.shape == (algebra.dim,)
+        assert np.array_equal(result.coeffs, expected)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from menhir.algebra import (
     COMPLEX,
+    Algebra,
     QUATERNION,
     REAL,
     SingularElementError,
@@ -32,6 +35,7 @@ from menhir.reversions import revert
 from menhir.verify import CONFIGS, TIERS, sample_velocity
 from util import (
     ball_vector,
+    exact_quaternion_angle,
     random_menhir,
     reference_angle,
     reference_rotation_matrix,
@@ -349,11 +353,88 @@ def test_rotation_matrix_matches_sandwich_reference():
             assert np.abs(rot.matrix(n) - reference_rotation_matrix(rot, n)).max() <= 1e-14
 
 
+def test_closed_form_matrices_need_no_sandwich(monkeypatch):
+    """Complex pairs and rotor pairs (imaginary quaternions, Clifford vectors)
+    get their matrix in closed form, with no basis-blade sandwich."""
+    def no_sandwich(self, masks, b):
+        raise AssertionError("basis sandwich used for a closed-form pair")
+
+    rng = np.random.default_rng(32)
+    cases = [(COMPLEX, 2), (QUATERNION, 3), (clifford(2), 2), (clifford(3), 3),
+             (clifford(4), 4), (clifford(5), 5), (clifford(10), 10)]
+    expected = []
+    for algebra, n in cases:
+        rot = thomas_rotation(random_menhir(rng, algebra, n), random_menhir(rng, algebra, n))
+        expected.append((rot, n, reference_rotation_matrix(rot, n)))
+    monkeypatch.setattr(Algebra, "blade_mul", no_sandwich)
+    for rot, n, ref in expected:
+        assert np.abs(rot.matrix(n) - ref).max() <= 1e-14
+
+
+def test_zero_and_collinear_boosts_rotate_nothing():
+    rng = np.random.default_rng(33)
+    for algebra, n in CONFIGS.values():
+        zero, e = algebra.zero, random_menhir(rng, algebra, n)
+        for e1, e2 in ((zero, zero), (e, zero), (zero, e)):
+            assert np.array_equal(thomas_rotation(e1, e2).matrix(n), np.eye(n))
+        for _ in range(200):
+            # a random direction below the stress tier; a basis direction up
+            # to the cone, where a rounded cross term would be amplified
+            d, (s1, s2) = unit_vector(rng, n), rng.uniform(-0.95, 0.95, 2)
+            if rng.uniform() < 0.5:
+                d, (s1, s2) = np.eye(n)[rng.integers(n)], rng.uniform(-1 + 1e-9, 1 - 1e-9, 2)
+            rot = thomas_rotation(menhir_of(vector_embed(s1 * d, algebra)),
+                                  menhir_of(vector_embed(s2 * d, algebra)))
+            assert np.abs(rot.matrix(n) - np.eye(n)).max() <= 1e-15
+
+
+_SPEED = st.floats(0.0, 1.0 - 1e-9)
+_DIRECTION = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(CONFIGS)), _DIRECTION, _DIRECTION, _SPEED, _SPEED)
+def test_rotation_matrix_is_a_rotation_hypothesis(key, d1, d2, s1, s2):
+    """Every lane's matrix is a proper rotation and agrees with the sandwich
+    reference, up to speeds 1e-9 below the cone.  The 4-D quaternion lane
+    keeps the sandwich of the separately rounded alpha and beta, whose
+    norms differ by a few eps/|beta| relatively; near the cone and nearly
+    antiparallel |beta| falls to about 1e-4, so its orthogonality is checked
+    to 1e-13 plus 8 eps/|beta| (2.8e-13 seen at |beta| = 1.04e-4).  The
+    closed forms are orthogonal by construction and are held to 1e-13."""
+    algebra, n = CONFIGS[key]
+    d1, d2 = np.array(d1[:n]), np.array(d2[:n])
+    assume(min(np.linalg.norm(d1), np.linalg.norm(d2)) > 1e-3)
+    v = s1 * d1 / np.linalg.norm(d1)
+    w = s2 * d2 / np.linalg.norm(d2)
+    rot = thomas_rotation(menhir_of(vector_embed(v, algebra)),
+                          menhir_of(vector_embed(w, algebra)))
+    o = rot.matrix(n)
+    tol = 1e-13
+    if key == "quaternion":
+        tol += 8 * np.finfo(float).eps / rot.beta.norm()
+    assert np.abs(o.T @ o - np.eye(n)).max() <= tol
+    assert abs(np.linalg.det(o) - 1.0) <= n * tol
+    assert np.abs(o - reference_rotation_matrix(rot, n)).max() <= 1e-14
+
+
 def test_rotation_matrix_rejects_an_off_model_pair():
     algebra = clifford(3)
     e1 = algebra.basis_blade(1)
     with pytest.raises(ValueError):
         RotationDescriptor(1.0 + e1, algebra.one).matrix(3)
+    # singular pairs raise as the sandwich's beta^{-1} does, on the
+    # closed-form lanes too: a zero beta, a zero rotor, a non-simple bivector
+    c4 = clifford(4)
+    non_simple = 1.0 + c4.basis_blade(0b0011) + c4.basis_blade(0b1100)
+    for rot, n in ((RotationDescriptor(COMPLEX.one, COMPLEX.zero), 2),
+                   (RotationDescriptor(QUATERNION.zero, QUATERNION.zero), 3),
+                   (RotationDescriptor(algebra.zero, algebra.zero), 3),
+                   (RotationDescriptor(non_simple, non_simple), 4)):
+        with pytest.raises(SingularElementError):
+            rot.matrix(n)
+    with pytest.raises(UnsupportedDimensionError):
+        thomas_rotation(algebra.zero, algebra.zero).matrix(4)
 
 
 def test_closed_form_angle_matches_trace_reference():
@@ -413,6 +494,32 @@ def test_angle_error_types_unchanged():
     rot = thomas_rotation(c3.zero, c3.zero)
     with pytest.raises(UnsupportedDimensionError):
         rot.angle(4)
+
+
+def test_non_rotor_angle_is_exact_near_zero():
+    """The 4-D quaternion model is no rotor pair (alpha != beta), so `angle`
+    reads its matrix.  Near-collinear boosts give Thomas angles near 1e-9 and
+    1e-5; read as atan2(sine, cosine) of the matrix they match a 50-digit
+    angle to 1e-15.  The arccos of the trace alone read 0.0 at 1e-9 and was
+    off by about 1e-10 at 1e-5."""
+    rng = np.random.default_rng(34)
+    for target in (1e-9, 1e-5):
+        for _ in range(20):
+            d = unit_vector(rng, 4)
+            perp = unit_vector(rng, 4)
+            perp -= (perp @ d) * d
+            perp /= np.linalg.norm(perp)
+            # the Thomas angle is 0.1-0.3 times the angle between the boosts
+            phi = 6.0 * target
+            v = rng.uniform(0.3, 0.9) * d
+            w = rng.uniform(0.3, 0.9) * (math.cos(phi) * d + math.sin(phi) * perp)
+            e1 = menhir_of(vector_embed(v, QUATERNION))
+            e2 = menhir_of(vector_embed(w, QUATERNION))
+            rot = thomas_rotation(e1, e2)
+            assert not np.array_equal(rot.alpha.coeffs, rot.beta.coeffs)
+            exact = exact_quaternion_angle(e1, e2)
+            assert target / 10 <= exact <= target * 10
+            assert abs(rot.angle(4) - exact) <= 1e-15
 
 
 def test_collinear_real_menhirs_match_scalar_formula():

@@ -13,7 +13,8 @@ from menhir.lorentz import (
     minkowski_metric,
     polar_decompose,
 )
-from util import ball_vector, unit_vector
+from menhir.verify import sample_direction
+from util import ball_vector, reference_boost_matrix, unit_vector
 
 
 def test_one_dimensional_boost_is_hyperbolic_rotation():
@@ -164,3 +165,31 @@ def test_rotation_comparison_across_representations():
         sandwich = thomas_rotation(ev, ew).matrix(3)
         rotation, _ = polar_decompose(boost_matrix(w) @ boost_matrix(v))
         assert np.abs(sandwich - rotation[1:, 1:]).max() <= 1e-9
+
+
+def test_oracle_is_bitwise_the_first_version():
+    """The verify failure set depends on how the oracle rounds near the cone,
+    so `boost_matrix`, `polar_decompose` and the direction sampler must
+    equal their first versions bit for bit: at v = 0, at random speeds and
+    within 1e-9 of the cone (boosts; compositions stay below the 1 - 1e-12
+    guard), in 1 to 10 dimensions."""
+    rng = np.random.default_rng(36)
+    for n in range(1, 11):
+        assert np.array_equal(boost_matrix(np.zeros(n)), np.eye(1 + n))
+        assert np.array_equal(boost_matrix(np.zeros(n)), reference_boost_matrix(np.zeros(n)))
+        for _ in range(200):
+            d = unit_vector(rng, n)
+            for speed in (rng.uniform(0.0, 1.0), 1.0 - rng.uniform(1e-11, 1e-9)):
+                v = speed * d
+                assert np.array_equal(boost_matrix(v), reference_boost_matrix(v))
+            # composed speeds must stay below the cone's guard
+            v, w = ball_vector(rng, n, 0.0, 0.9999), ball_vector(rng, n, 0.0, 0.9999)
+            L = reference_boost_matrix(w) @ reference_boost_matrix(v)
+            rotation, u = polar_decompose(L)
+            assert np.array_equal(u, L[0, 1:] / L[0, 0])
+            assert np.array_equal(rotation, L @ reference_boost_matrix(-u))
+        seed = int(rng.integers(2**32))
+        for _ in range(20):
+            assert np.array_equal(sample_direction(np.random.default_rng(seed), n),
+                                  unit_vector(np.random.default_rng(seed), n))
+            seed += 1

@@ -1,6 +1,10 @@
 import numpy as np
 
 from menhir import verify
+from menhir.algebra import vector_embed, vector_part
+from menhir.calculus import compose_menhirs, menhir_of, thomas_rotation, velocity_of
+from menhir.lorentz import boost_matrix, polar_decompose
+from util import exact_polar_split
 
 _TRIAL = verify.composition_trial
 
@@ -32,3 +36,31 @@ def test_failure_key_replays_its_trial():
     for key, inputs, _ in report.failures:
         _, _, v, w = verify.composition_trial(np.random.default_rng(key), "clifford3")
         assert key[0] == 42 and inputs == {"v": v.tolist(), "w": w.tolist()}
+
+
+def test_stress_failure_of_key_1765266107_40_is_the_oracles():
+    """Trial 40 of master seed 1765266107 (|v| = 0.9999983, |w| = 0.9999952)
+    fails the stress tier's 1e-6 in the quaternion and clifford4 lanes with a
+    rotation error of 1.8e-6.  Against a 50-digit polar split of L(w) L(v),
+    the menhir velocity and rotation matrix are within 1e-13 (5.7e-15
+    measured), while the oracle's rotation is off by the whole reported
+    error: the miss belongs to the cancellation in the oracle's
+    `L @ boost_matrix(-u)`, not to the calculus."""
+    for key in ("quaternion", "clifford4"):
+        algebra, n = verify.CONFIGS[key]
+        v_err, r_err, v, w = verify.composition_trial(
+            np.random.default_rng([1765266107, 40]), key, "stress")
+        assert abs(np.linalg.norm(v) - 0.9999983) <= 1e-7
+        assert abs(np.linalg.norm(w) - 0.9999952) <= 1e-7
+        u_exact, r_exact = exact_polar_split(v, w)
+
+        ev = menhir_of(vector_embed(v, algebra))
+        ew = menhir_of(vector_embed(w, algebra))
+        u_menhir = vector_part(velocity_of(compose_menhirs(ev, ew)), n)
+        assert np.abs(u_menhir - u_exact).max() <= 1e-13
+        assert np.abs(thomas_rotation(ev, ew).matrix(n) - r_exact).max() <= 1e-13
+
+        rotation, _ = polar_decompose(boost_matrix(w) @ boost_matrix(v))
+        oracle_err = np.abs(rotation[1:, 1:] - r_exact).max()
+        assert abs(oracle_err - r_err) <= 1e-13
+        assert r_err > verify.TIERS["stress"][2]

@@ -7,12 +7,17 @@ built by sandwiching each basis vector.  The table-driven kernel in
 `menhir.algebra` is checked against them.  So are the closed-form Thomas
 angle, against the angle read from the trace of the rotation matrix, and the
 number formatting of `menhir.parsing`, against `Fraction.limit_denominator`.
+`reference_boost_matrix` freezes the oracle's boost as first written: the
+verify failure set depends on how it rounds near the light cone, so the
+package's version must stay bitwise equal to it.  The `exact_*` helpers
+redo a computation from the same float inputs in 50-digit mpmath.
 """
 
 import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from menhir.algebra import vector_embed
@@ -134,3 +139,93 @@ def reference_format_element(x) -> str:
         sign = "-" if value < 0 else ("+" if parts else "")
         parts.append(sign + body + unit)
     return "".join(parts) if parts else "0"
+
+
+def reference_boost_matrix(v) -> np.ndarray:
+    """`lorentz.boost_matrix` as first written, rounding for rounding."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    n = v.size
+    v2 = float(v @ v)
+    g = 1.0 / np.sqrt(1.0 - v2)
+    L = np.eye(1 + n)
+    L[0, 0] = g
+    L[0, 1:] = g * v
+    L[1:, 0] = g * v
+    L[1:, 1:] += g * g / (g + 1.0) * np.outer(v, v)
+    return L
+
+
+# -- 50-digit references ---------------------------------------------------------------
+
+EXACT_DIGITS = 50
+
+
+def _exact(x):
+    """The float coefficients of x as mpmath numbers (exact conversions)."""
+    return [mpmath.mpf(float(c)) for c in x]
+
+
+def _exact_boost(v):
+    n = len(v)
+    g = 1 / mpmath.sqrt(1 - mpmath.fsum(x * x for x in v))
+    k = g * g / (g + 1)
+    L = mpmath.eye(1 + n)
+    L[0, 0] = g
+    for i in range(n):
+        L[0, 1 + i] = L[1 + i, 0] = g * v[i]
+        for j in range(n):
+            L[1 + i, 1 + j] += k * v[i] * v[j]
+    return L
+
+
+def exact_polar_split(v, w):
+    """Velocity u and spatial rotation R of L(w) L(v) = R B(u), rounded to
+    float arrays from a 50-digit computation on the float velocities v, w."""
+    n = len(v)
+    with mpmath.workdps(EXACT_DIGITS):
+        L = _exact_boost(_exact(w)) * _exact_boost(_exact(v))
+        u = [L[0, 1 + i] / L[0, 0] for i in range(n)]
+        R = L * _exact_boost([-x for x in u])
+        return (np.array([float(x) for x in u]),
+                np.array([[float(R[1 + i, 1 + j]) for j in range(n)] for i in range(n)]))
+
+
+def _exact_ham(p, q):
+    a, b, c, d = p
+    e, f, g, h = q
+    return [a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e]
+
+
+def exact_quaternion_angle(e1, e2) -> float:
+    """Angle of the 4-D Thomas rotation z -> alpha z beta^{-1}, alpha =
+    1 + e2 conj(e1) and beta = 1 + conj(e2) e1, from a 50-digit computation
+    on the float quaternion menhirs e1 and e2.  The rotation is simple, so
+    its matrix O gives sin and cos as |O - O^T|_F / (2 sqrt 2) and
+    (tr O - 2) / 2."""
+    with mpmath.workdps(EXACT_DIGITS):
+        p, q = _exact(e1.coeffs), _exact(e2.coeffs)
+
+        def conj(x):
+            return [x[0], -x[1], -x[2], -x[3]]
+
+        alpha = _exact_ham(q, conj(p))
+        beta = _exact_ham(conj(q), p)
+        alpha[0] += 1
+        beta[0] += 1
+        norm_sq = mpmath.fsum(x * x for x in beta)
+        beta_inv = [x / norm_sq for x in conj(beta)]
+        o = mpmath.matrix(4, 4)
+        for k in range(4):
+            basis = [mpmath.mpf(0)] * 4
+            basis[k] = mpmath.mpf(1)
+            image = _exact_ham(_exact_ham(alpha, basis), beta_inv)
+            for i in range(4):
+                o[i, k] = image[i]
+        sine = mpmath.sqrt(mpmath.fsum((o[i, j] - o[j, i]) ** 2
+                                       for i in range(4) for j in range(4)))
+        sine /= 2 * mpmath.sqrt(2)
+        cosine = (mpmath.fsum(o[i, i] for i in range(4)) - 2) / 2
+        return float(mpmath.atan2(sine, cosine))
