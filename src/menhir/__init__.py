@@ -18,7 +18,6 @@ from .algebra import (
     Algebra,
     AlgebraMismatchError,
     COMPLEX,
-    Element,
     QUATERNION,
     REAL,
     SingularElementError,

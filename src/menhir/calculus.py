@@ -155,11 +155,10 @@ def _rotor(q: Element) -> _Rotor | None:
     if not scale > 1e-290:
         return None
     f2 = f @ f
-    if algebra.kind == "clifford" and algebra.n_gen > 3:
-        # B is simple iff f has rank 2, i.e. f^3 = -|B|^2 f (always so for
-        # three generators or fewer); the bound keeps |B ^ B| below the 1e-10
-        # that `Element.inverse` allows, so no pair accepted here would raise
-        # there
+    if algebra.kind == "clifford":
+        # B is simple iff f has rank 2, i.e. f^3 = -|B|^2 f; the bound keeps
+        # |B ^ B| below the 1e-10 that `Element.inverse` allows, so no pair
+        # accepted here would raise there
         residual = f2 @ f
         residual += (nb * nb) * f
         if np.abs(residual, out=residual).max(initial=0.0) > 1e-12 * nb * max(1.0, scale):
@@ -228,8 +227,6 @@ class RotationDescriptor:
         idx = algebra.model_indices(model_dim)  # raises for a model the algebra lacks
         right = algebra.blade_mul(idx, self.beta.inverse().coeffs)
         images = algebra.mul_coeffs(self.alpha.coeffs, right)
-        if len(idx) == algebra.dim:  # the model is the whole algebra, in blade order
-            return images.T
         off = images.copy()
         off[:, idx] = 0.0
         if np.abs(off).max() > 1e-6:

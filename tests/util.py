@@ -10,14 +10,14 @@ number formatting of `menhir.parsing`, against `Fraction.limit_denominator`.
 `reference_boost_matrix` freezes the oracle's boost as first written: the
 verify failure set depends on how it rounds near the light cone, so the
 package's version must stay bitwise equal to it.  The `exact_*` helpers
-redo a computation from the same float inputs in 50-digit mpmath.
+redo a computation from the same float inputs in 50-digit mpmath, which
+they import when called, so only the tests that use them need it.
 """
 
 import functools
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from menhir.algebra import vector_embed
@@ -162,10 +162,12 @@ EXACT_DIGITS = 50
 
 def _exact(x):
     """The float coefficients of x as mpmath numbers (exact conversions)."""
+    import mpmath
     return [mpmath.mpf(float(c)) for c in x]
 
 
 def _exact_boost(v):
+    import mpmath
     n = len(v)
     g = 1 / mpmath.sqrt(1 - mpmath.fsum(x * x for x in v))
     k = g * g / (g + 1)
@@ -181,6 +183,7 @@ def _exact_boost(v):
 def exact_polar_split(v, w):
     """Velocity u and spatial rotation R of L(w) L(v) = R B(u), rounded to
     float arrays from a 50-digit computation on the float velocities v, w."""
+    import mpmath
     n = len(v)
     with mpmath.workdps(EXACT_DIGITS):
         L = _exact_boost(_exact(w)) * _exact_boost(_exact(v))
@@ -205,6 +208,7 @@ def exact_quaternion_angle(e1, e2) -> float:
     on the float quaternion menhirs e1 and e2.  The rotation is simple, so
     its matrix O gives sin and cos as |O - O^T|_F / (2 sqrt 2) and
     (tr O - 2) / 2."""
+    import mpmath
     with mpmath.workdps(EXACT_DIGITS):
         p, q = _exact(e1.coeffs), _exact(e2.coeffs)
 
