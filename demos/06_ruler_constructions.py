@@ -32,7 +32,7 @@ long_way = apply_word(stars, [np.zeros(2), e, np.zeros(2), f])
 short_way = apply_word(stars, two_boost_word(e, f))
 print("two-boost word collapse error:", np.abs(long_way - short_way).max())
 
-# The composite map has two stable points, and they are not antipodal.
+# The composite map has two fixed points, and they are not antipodal.
 f1, f2 = two_boost_fixed_points(e, f)
 print("fixed points:", f1, f2, "| antipodal?", bool(np.allclose(f1, -f2)))
 

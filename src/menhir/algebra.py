@@ -142,12 +142,6 @@ class Algebra:
             return f"clifford({self.n_gen})"
         return self.kind.upper()
 
-    def __eq__(self, other):
-        return isinstance(other, Algebra) and self.kind == other.kind and self.n_gen == other.n_gen
-
-    def __hash__(self):
-        return hash((self.kind, self.n_gen))
-
     # -- construction -------------------------------------------------------
 
     def scalar(self, s: float) -> "Element":
@@ -257,8 +251,11 @@ class Element:
         self.coeffs = coeffs
 
     def _coerce(self, other) -> "Element":
+        """`other` as an element of this algebra, NotImplemented for other types.
+        Algebras are singletons (the module constants and `clifford(n)`), so
+        operands match by identity."""
         if isinstance(other, Element):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra:
                 raise AlgebraMismatchError(
                     f"cannot combine {self.algebra!r} with {other.algebra!r}"
                 )
@@ -270,8 +267,6 @@ class Element:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Element) and other.algebra is self.algebra:
-            return Element(self.algebra, self.coeffs + other.coeffs)
         if isinstance(other, _SCALARS):
             # `+ 0.0` turns a -0.0 slot into +0.0, as adding a whole scalar
             # element did, so sums stay bitwise what they were
@@ -301,8 +296,6 @@ class Element:
         return Element(self.algebra, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, Element) and other.algebra is self.algebra:
-            return Element(self.algebra, self.algebra.mul_coeffs(self.coeffs, other.coeffs))
         if isinstance(other, _SCALARS):
             return Element(self.algebra, self.coeffs * float(other))
         other = self._coerce(other)

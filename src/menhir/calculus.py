@@ -307,13 +307,6 @@ class MoebiusMatrix:
     def apply(self, z: Element, atol: float = 1e-9) -> Element:
         return moebius_apply(self, z, atol=atol)
 
-    def normalized(self) -> "MoebiusMatrix":
-        """Projective normal form: rows left-divided by their leading entries."""
-        ai = self.a.inverse()
-        di = self.d.inverse()
-        one = self.a.algebra.one
-        return MoebiusMatrix(one, ai * self.b, di * self.c, one)
-
     def max_diff(self, other: "MoebiusMatrix") -> float:
         return max(p.max_diff(q) for p, q in zip(self.entries, other.entries))
 

@@ -82,7 +82,8 @@ def aberrate_ray(L, a) -> np.ndarray:
     The incoming ray is the null vector (-1, a); it is pulled back through L,
     rescaled to time component -1, and its spatial part returned.  For
     L = boost_matrix(v) the side-most stars (a perpendicular to v) land at
-    projection +|v| on the v axis.
+    projection +|v| on the v axis.  Because the ray is pulled back, the shift
+    by L1 followed by the shift by L2 is aberrate_ray(L1 @ L2, a).
     """
     L = np.asarray(L, dtype=float)
     a = np.atleast_1d(np.asarray(a, dtype=float))

@@ -140,12 +140,15 @@ def _line_intersection(p1, d1, p2, d2):
     return 0.5 * (x1 + x2), float(np.linalg.norm(x1 - x2))
 
 
-def find_conjugate_point(a, b, a_new, atol: float = 1e-9) -> np.ndarray:
+def find_conjugate_point(a, b, a_new) -> np.ndarray:
     """Slide the pair: b' on line(a, b) with word (a, b) == word (a_new, b').
 
-    Solved from one sphere point (b' is where the chord from (A0 reverted
-    through a_new) to (A0 reverted through a, b) crosses the line), then
-    verified on independent points via the porism.
+    Every reversion through a point of the line swaps the line's chord ends P
+    and Q, so every word of two of them fixes P and Q.  With
+    x(p) = (t_p - t_P)/(t_Q - t_p) for the chord parameter t of a point p of
+    the line, the word (a, b) depends only on x(b)/x(a), so b' is solved from
+    x(b') = x(b) x(a_new) / x(a).  The chord ends are the roots of
+    |a + t u|^2 = 1, taken in cancellation-free form.
     """
     a = _interior(np.asarray(a, dtype=float))
     b = _interior(np.asarray(b, dtype=float))
@@ -156,26 +159,22 @@ def find_conjugate_point(a, b, a_new, atol: float = 1e-9) -> np.ndarray:
     if not collinear([a, b, a_new]):
         raise ValueError("replacement point must lie on line(a, b)")
 
-    checks = _sphere_samples(a.size, 8, seed=3)
-    for a0 in _sphere_samples(a.size, 32, seed=11):
-        target = revert(revert(a0, a), b)
-        xprime = revert(a0, a_new)
-        chord = target - xprime
-        if np.linalg.norm(chord) < 1e-9:
-            continue  # a0 happens to be (nearly) fixed; pick another
-        b_new, resid = _line_intersection(xprime, chord, a, line_dir)
-        if resid > 1e-9:
-            continue
-        try:
-            _check_ball(b_new, "conjugate point")
-        except SuperluminalError as exc:
-            raise ConstructionError("conjugate point falls outside the open ball") from exc
-        err = np.abs(
-            apply_word(checks, [a, b]) - apply_word(checks, [a_new, b_new])
-        ).max()
-        if err <= atol:
-            return b_new
-    raise ConstructionError("no conjugate point found on the line")
+    u = line_dir / np.linalg.norm(line_dir)
+    # chord ends: roots of t^2 + 2 h t - k with h = a.u, k = 1 - |a|^2 > 0
+    h, k = float(a @ u), 1.0 - float(a @ a)
+    r = -(h + math.copysign(math.sqrt(h * h + k), h))
+    t_p, t_q = sorted((r, -k / r))
+
+    def x(t):
+        return (t - t_p) / (t_q - t)
+
+    ratio = x(float((b - a) @ u)) * x(float((a_new - a) @ u)) / x(0.0)
+    b_new = a + (t_p + ratio * t_q) / (1.0 + ratio) * u
+    try:
+        _check_ball(b_new, "conjugate point")
+    except SuperluminalError as exc:
+        raise ConstructionError("conjugate point falls outside the open ball") from exc
+    return b_new
 
 
 # -- planar constructions ---------------------------------------------------------
@@ -191,63 +190,31 @@ def _from_complex(z: complex) -> np.ndarray:
     return np.array([z.real, z.imag])
 
 
-def _revert_c(z: complex, p: complex) -> complex:
-    return (z - p) / (p.conjugate() * z - 1.0)
-
-
-def _two_boost_map(e: complex, f: complex):
-    """Circle action of boosts e then f, i.e. the word (-e, f), on unit complex z."""
-    def act(z):
-        return _revert_c(_revert_c(z, -e), f)
-    return act
-
-
-def two_boost_fixed_points(e, f, grid: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def two_boost_fixed_points(e, f) -> tuple[np.ndarray, np.ndarray]:
     """The two fixed circle points of the composite of boosts e then f (planar).
 
-    Located by a sign scan of the angular displacement over a uniform grid and
-    bisection to 1e-12; compositions of distinct non-inverse boosts are
-    hyperbolic, so exactly two fixed points exist.
+    The word (-e, f) is the Moebius map M(f) M(-e) = [[a, b], [c, d]], with
+    M(w) = [[1, -w], [conj w, -1]] for the reversion z -> (z - w)/(conj(w) z - 1).
+    Its fixed points are the roots of c z^2 + (d - a) z - b = 0, taken without
+    cancellation as q/c and -b/q with q = -(p + sqrt(D))/2, p = d - a and
+    D = p^2 + 4 b c.  Here c = conj(b) and d = conj(a), so p = -2i Im(a) is
+    imaginary while D = 4(|b|^2 - Im(a)^2) is real: p and sqrt(D) are
+    orthogonal and the + sign never cancels.  The points are returned sorted
+    by angle in [0, 2 pi).  A product of two boosts in the plane is hyperbolic
+    (D > 0, two fixed points on the circle) unless the boosts cancel, e = -f,
+    when it is the identity and ConstructionError is raised.
     """
-    ec, fc = _as_complex(e), _as_complex(f)
-    act = _two_boost_map(ec, fc)
-
-    def h(theta: float) -> float:
-        z = cmath.exp(1j * theta)
-        return (z.conjugate() * act(z)).imag
-
-    def keeps_side(theta: float) -> bool:
-        z = cmath.exp(1j * theta)
-        return (z.conjugate() * act(z)).real > 0.0
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = np.array([h(t) for t in thetas])
-    roots = []
-    for i in range(grid):
-        t0, t1 = thetas[i], thetas[(i + 1) % grid] + (2.0 * math.pi if i + 1 == grid else 0.0)
-        v0, v1 = vals[i], vals[(i + 1) % grid]
-        if v0 == 0.0:
-            if keeps_side(t0):
-                roots.append(t0)
-            continue
-        if v0 * v1 < 0.0:
-            lo, hi, flo = t0, t1, v0
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                fm = h(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                elif flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            root = 0.5 * (lo + hi)
-            if keeps_side(root):
-                roots.append(root)
-    if len(roots) != 2:
-        raise ConstructionError(f"expected 2 fixed points, found {len(roots)}")
-    roots.sort()
-    return tuple(np.array([math.cos(t), math.sin(t)]) for t in roots)
+    ec = _as_complex(_interior(e, "menhir"))
+    fc = _as_complex(_interior(f, "menhir"))
+    a, b = 1.0 + fc * ec.conjugate(), ec + fc
+    c, d = b.conjugate(), 1.0 + fc.conjugate() * ec
+    p = d - a
+    disc = p * p + 4.0 * b * c
+    if not disc.real > 0.0:
+        raise ConstructionError("the boosts cancel: every circle point is fixed")
+    q = -0.5 * (p + cmath.sqrt(disc))
+    fixed = sorted((q / c, -b / q), key=lambda z: cmath.phase(z) % (2.0 * math.pi))
+    return tuple(_from_complex(z) for z in fixed)
 
 
 @dataclass

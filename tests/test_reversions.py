@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 
 from menhir.algebra import COMPLEX, vector_embed, vector_part
-from menhir.calculus import MoebiusMatrix, compose_menhirs, menhir_of, moebius_apply
+from menhir.calculus import (
+    MoebiusMatrix,
+    SuperluminalError,
+    compose_menhirs,
+    menhir_of,
+    moebius_apply,
+    velocity_of,
+)
 from menhir.lorentz import aberrate_ray, boost_matrix
 from menhir.reversions import (
+    ConstructionError,
     ConstructionTrace,
     DegenerateConstructionWarning,
     apply_word,
@@ -201,6 +209,8 @@ def test_find_conjugate_point_examples():
     # sliding the origin pair: o b = (-b) o
     b2 = find_conjugate_point(np.zeros(2), b, -b)
     assert np.abs(b2).max() <= 1e-9
+    # (a, a) is the identity, and so is only (a_new, a_new)
+    assert np.abs(find_conjugate_point(a, a, b) - b).max() <= 1e-12
 
 
 def test_find_conjugate_point_random_verified():
@@ -231,6 +241,48 @@ def test_two_boost_fixed_points_not_antipodal():
     assert np.abs(act(f1) - f1).max() <= 1e-9
     assert np.abs(act(f2) - f2).max() <= 1e-9
     assert np.linalg.norm(f1 + f2) > 0.1  # non-collinear menhirs: not antipodal
+
+
+def test_two_boost_fixed_points_match_word_and_oracle():
+    # aberrate_ray pulls the null ray back through L, so the map "boost by v
+    # first, then by w" is aberrate_ray(boost_matrix(v) @ boost_matrix(w), .)
+    rng = np.random.default_rng(51)
+    for _ in range(500):
+        e, f = menhir_of(ball_vector(rng, 2)), menhir_of(ball_vector(rng, 2))
+        oracle = boost_matrix(velocity_of(e)) @ boost_matrix(velocity_of(f))
+        fixed = two_boost_fixed_points(e, f)
+        for z in fixed:
+            assert abs(np.linalg.norm(z) - 1.0) <= 1e-15
+            assert np.abs(apply_word(z, two_boost_word(e, f)) - z).max() <= 1e-12
+            assert np.abs(aberrate_ray(oracle, z) - z).max() <= 1e-12
+        angles = [math.atan2(z[1], z[0]) % (2 * math.pi) for z in fixed]
+        assert angles[0] < angles[1]
+
+
+def test_two_boost_fixed_points_near_the_light_cone():
+    # the map stretches the circle 300-fold at the repelling fixed point,
+    # which a search over sampled angles can miss
+    e, f = np.array([0.725, 0.55]), np.array([-0.289, 0.889])
+    f1, f2 = two_boost_fixed_points(e, f)
+    for z in (f1, f2):
+        assert np.abs(apply_word(z, two_boost_word(e, f)) - z).max() <= 1e-12
+    assert np.linalg.norm(f1 - f2) > 0.1
+
+
+def test_two_boost_fixed_points_identity_raises():
+    e = np.array([0.3, -0.4])
+    for first, second in [(e, -e), (np.zeros(2), np.zeros(2))]:
+        with pytest.raises(ConstructionError, match="every circle point is fixed"):
+            two_boost_fixed_points(first, second)
+
+
+def test_two_boost_fixed_points_rejects_bad_menhirs():
+    e = np.array([0.0, 0.5])
+    for bad in ([2.0, 0.0], [1.0, 0.0], [math.nan, 0.0]):
+        with pytest.raises(SuperluminalError):
+            two_boost_fixed_points(np.array(bad), e)
+        with pytest.raises(SuperluminalError):
+            two_boost_fixed_points(e, np.array(bad))
 
 
 def test_equal_menhirs_fix_the_axis():

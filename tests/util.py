@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from menhir.algebra import vector_embed
-from menhir.calculus import menhir_of
+from menhir.calculus import MoebiusMatrix, menhir_of
 
 
 def unit_vector(rng, n):
@@ -42,6 +42,12 @@ def random_element(rng, algebra, scale=1.0):
 
 def random_menhir(rng, algebra, n, hi=0.9):
     return menhir_of(vector_embed(ball_vector(rng, n, 0.0, hi), algebra))
+
+
+def normalized(m: MoebiusMatrix) -> MoebiusMatrix:
+    """Projective normal form: rows left-divided by their leading entries."""
+    one = m.a.algebra.one
+    return MoebiusMatrix(one, m.a.inverse() * m.b, m.d.inverse() * m.c, one)
 
 
 # -- reference implementations ------------------------------------------------------
