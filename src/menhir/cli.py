@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import warnings
+from itertools import compress
 
 import click
 import numpy as np
@@ -29,7 +30,7 @@ from .calculus import (
     thomas_rotation,
     velocity_of,
 )
-from .parsing import ElementParseError, format_element, parse_algebra_tag, parse_element, parse_number
+from .parsing import ElementParseError, format_element, parse_algebra_tag, parse_bracket, parse_element
 from .reversions import (
     ConstructionError,
     ConstructionTrace,
@@ -143,13 +144,10 @@ def _parse_vector_velocity(text: str, n: int | None) -> np.ndarray:
     """Velocity as a plain vector inside the ball.  Bracketed text lists the
     components; bare element text is read in `algebra_for_dimension(n)`, and
     without n its units pick the dimension (2, 3 or 4)."""
-    compact = text.strip()
-    if compact.startswith("["):
-        if not compact.endswith("]"):
-            raise ElementParseError(f"unterminated bracket list {text!r}")
-        v = np.array([parse_number(p) for p in compact[1:-1].split(",") if p.strip()])
-        if v.size == 0 or (n is not None and v.size != n):
-            raise ElementParseError(f"expected {n or 'at least 1'} components, got {v.size}")
+    if text.strip().startswith("["):
+        v = parse_bracket(text)
+        if n is not None and v.size != n:
+            raise ElementParseError(f"expected {n} components, got {v.size}")
     else:
         x = parse_element(text, QUATERNION if n is None else algebra_for_dimension(n))
         if n is None:
@@ -166,37 +164,68 @@ def _parse_vector_velocity(text: str, n: int | None) -> np.ndarray:
     return v
 
 
+def _is_number(field: str) -> bool:
+    """Whether float() accepts the field.  No number starts with a letter other
+    than the first letters of inf and nan, so such a field needs no call."""
+    if field[:1].isalpha() and field[0] not in "iInN":
+        return False
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_catalog(path: str):
-    """Labels and unit star directions of a catalog file.  Each row is checked
-    as it is read, so an error names the first bad row; the rows are then
-    normalised together in one array."""
-    labels, rows = [], []
+    """Labels and unit star directions of a catalog file, in the format the
+    `aberrate` help gives.  The file is read at once and its rows are parsed
+    and checked together.  An error names the first bad row in file order,
+    whether float() rejects one of its numbers or its direction is zero or
+    non-finite.  An empty catalog and rows of unequal length are errors too."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")  # float() ignores the spaces around a number
-            label = None
-            try:
-                float(fields[0])
-            except ValueError:
-                label = fields[0].strip()
-                fields = fields[1:]
-            try:
-                row = list(map(float, fields))
-            except ValueError as exc:
-                raise ElementParseError(f"{path}:{line_no}: bad catalog row") from exc
-            # |row|^2 in Python floats: an overflowing row reads inf, with no warning
-            if not 1e-24 <= sum(x * x for x in row) < math.inf:
-                raise ElementParseError(f"{path}:{line_no}: direction must be finite and nonzero")
-            labels.append(label if label is not None else f"star{len(labels)}")
-            rows.append(row)
+        # read() translates newlines as iterating the file does
+        lines = [line.strip() for line in fh.read().split("\n")]
+    line_nos = [k for k, line in enumerate(lines, 1) if line and not line.startswith("#")]
+    rows = [lines[k - 1] for k in line_nos]
     if not rows:
         raise ElementParseError(f"{path}: empty catalog")
-    if len({len(r) for r in rows}) != 1:
+    # one flat list of fields, no list per row: the garbage collector would
+    # scan a list per row again and again on a large catalog
+    fields = ",".join(rows).split(",")  # float() ignores the spaces around a number
+    counts = np.array([row.count(",") + 1 for row in rows], dtype=int)
+    firsts = np.cumsum(counts) - counts
+    labelled = np.array([not _is_number(fields[k]) for k in firsts.tolist()], dtype=bool)
+    is_value = np.ones(len(fields), dtype=bool)
+    is_value[firsts[labelled]] = False
+    values = list(compress(fields, is_value.tolist()))  # the numbers, row after row
+    widths = counts - labelled
+    try:
+        numbers = np.fromiter(map(float, values), float)
+    except ValueError:
+        # the rows before the first that float() rejects are still checked:
+        # one of them may be the first bad row
+        rejected = next(k for k, value in enumerate(values) if not _is_number(value))
+        widths = widths[:np.searchsorted(np.cumsum(widths), rejected, side="right")]
+        numbers = np.fromiter(map(float, values[:widths.sum()]), float)
+    parsed = len(widths)
+    width = widths.max(initial=0)
+    stars = np.zeros((parsed, width))
+    stars[np.arange(width) < widths[:, None]] = numbers
+    # |row|^2 summed left to right, as sum(x * x for x in row) does; the zeros
+    # that pad a short row add nothing
+    squares = np.zeros(parsed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column in stars.T:
+            squares += column * column
+        bad = np.flatnonzero(~((squares >= 1e-24) & (squares < math.inf)))
+    if bad.size:
+        raise ElementParseError(f"{path}:{line_nos[bad[0]]}: direction must be finite and nonzero")
+    if parsed < len(rows):
+        raise ElementParseError(f"{path}:{line_nos[parsed]}: bad catalog row")
+    if (widths != width).any():
         raise ElementParseError(f"{path}: inconsistent dimensions")
-    stars = np.array(rows)
+    labels = [fields[k].strip() if label else f"star{i}"
+              for i, (k, label) in enumerate(zip(firsts.tolist(), labelled.tolist()))]
     # the stacked (1 x n)(n x 1) products take the dot of np.linalg.norm on one
     # row, so each unit row is bitwise the row-by-row one
     norms = np.sqrt((stars[:, None, :] @ stars[:, :, None]).ravel())
@@ -224,7 +253,10 @@ def _write(out_path: str, text: str):
 
 @main.command()
 @click.option("-v", "--velocity", "v_text", required=True, help="Boost velocity.")
-@click.option("--catalog", "catalog_path", required=True, type=click.Path(), help="CSV of stars: [label,]x,y[,z...].")
+@click.option("--catalog", "catalog_path", required=True, type=click.Path(),
+              help="Star catalog, one star a row: [label,]x1,...,xn, where a first field that "
+                   "is not a number is a label. '#' lines and blank lines are skipped and rows "
+                   "are normalised; an error names file:line of the first bad row (exit 2).")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output CSV path ('-' for stdout).")
 @click.option("--debug", is_flag=True, help="Cross-check the shift three ways and report the spread.")
 @_exit_codes

@@ -40,6 +40,7 @@ __all__ = [
     "format_element",
     "format_number",
     "parse_algebra_tag",
+    "parse_bracket",
     "parse_element",
     "parse_number",
 ]
@@ -109,10 +110,20 @@ def _parse_term(term: str) -> tuple[float, str]:
     return sign * value, m.group("unit") or ""
 
 
-def _parse_bracket(text: str, algebra: Algebra) -> Element:
-    body = text.strip()[1:-1].strip()
-    parts = [p for p in body.split(",") if p.strip()] if body else []
-    values = np.array([parse_number(p) for p in parts])
+def parse_bracket(text: str) -> np.ndarray:
+    """The numbers of a bracket list "[x1,...,xm]", text that starts with "[".
+    An empty list or an empty component, as in "[0.1,,0.2]" or "[0.1,0.2,]",
+    is a parse error."""
+    body = text.strip()
+    if not body.endswith("]"):
+        raise ElementParseError(f"unterminated bracket list {text!r}")
+    parts = body[1:-1].split(",")
+    if not all(p.strip() for p in parts):
+        raise ElementParseError(f"empty component in bracket list {text!r}")
+    return np.array([parse_number(p) for p in parts])
+
+
+def _bracket_element(values: np.ndarray, algebra: Algebra) -> Element:
     if algebra.kind == "clifford" and values.size == algebra.n_gen:
         return vector_embed(values, algebra)
     if values.size == algebra.dim:
@@ -129,9 +140,7 @@ def parse_element(text: str, algebra: Algebra) -> Element:
     if not compact:
         raise ElementParseError("empty element")
     if compact.startswith("["):
-        if not compact.endswith("]"):
-            raise ElementParseError(f"unterminated bracket list {text!r}")
-        return _parse_bracket(compact, algebra)
+        return _bracket_element(parse_bracket(compact), algebra)
     coeffs = np.zeros(algebra.dim)
     for term in filter(None, _SPLIT.split(compact)):
         value, unit = _parse_term(term)

@@ -275,11 +275,10 @@ def construct_composite_menhir(e, f, trace: ConstructionTrace | None = None) -> 
     e = _interior(np.asarray(e, dtype=float), "menhir")
     f = _interior(np.asarray(f, dtype=float), "menhir")
     ec, fc = _as_complex(e), _as_complex(f)
-    algebraic = vector_part(compose_menhirs(vector_embed(e, COMPLEX), vector_embed(f, COMPLEX)), 2)
 
     def fallback(reason):
         warnings.warn(DegenerateConstructionWarning(reason), stacklevel=2)
-        return algebraic
+        return vector_part(compose_menhirs(vector_embed(e, COMPLEX), vector_embed(f, COMPLEX)), 2)
 
     if abs(ec.conjugate() * fc - fc.conjugate() * ec) <= 1e-14:
         return fallback("collinear menhirs")

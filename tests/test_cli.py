@@ -6,15 +6,17 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menhir.algebra import COMPLEX
 from menhir.calculus import menhir_of
-from menhir.cli import main
+from menhir.cli import _read_catalog, _shift_table, main
 from menhir.lorentz import axis_projection_shift
-from menhir.parsing import parse_element
-from menhir.reversions import DegenerateConstructionWarning
+from menhir.parsing import ElementParseError, parse_element
+from menhir.reversions import DegenerateConstructionWarning, boost_star_shift
+
+from util import reference_read_catalog
 
 
 @pytest.fixture
@@ -208,6 +210,101 @@ def test_catalog_errors_name_the_first_bad_row(runner, tmp_path):
             result = runner.invoke(main, ["aberrate", "-v", "0.5", "--catalog", str(catalog), "--out", "-"])
         assert result.exit_code == 2, (rows, result.exception)
         assert result.stderr.strip().endswith(message), (rows, result.stderr)
+
+
+# catalog fields: mostly plain nonzero numbers; now and then one that float()
+# reads (nan, inf, huge, zero, subnormal, with underscores or non-ASCII digits),
+# text it rejects, any float, or a float near the 1e-24 limit of |row|^2
+_PLAIN_NUMBERS = st.floats(min_value=0.1, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.1)
+_EDGE_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "-inf", "inf", "1e200", "-1e200", "0", "-0.0", "5e-324",
+                     "1e-310", "1_0", "\u0663", "x", ""]),
+    st.floats(),
+    st.floats(min_value=5e-13, max_value=2e-12),
+)
+# first fields that are labels and first fields that are numbers
+_CATALOG_LABELS = st.sampled_from(["inf", "Nunki", "\uff49", "\u0663", "izar", "", "nan",
+                                   "1_0", "Infinity", "NaN", "s0"])
+
+
+@st.composite
+def _catalog_text(draw):
+    """Catalog file text: mostly rows of one width, some ragged; labelled and
+    unlabelled rows, comments and blank lines, spaces around fields, LF and
+    CRLF line ends."""
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
+        if kind == "comment":
+            line = draw(st.sampled_from(["# stars", "  #,1,2", "#"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", "  ", "\t"]))
+        else:
+            n = width if draw(st.integers(0, 4)) else draw(st.integers(0, 4))
+            fields = [str(draw(_EDGE_NUMBERS if draw(st.integers(0, 3)) == 0 else _PLAIN_NUMBERS))
+                      for _ in range(n)]
+            if draw(st.booleans()):
+                fields.insert(0, draw(_CATALOG_LABELS))
+            line = ",".join(draw(st.sampled_from(["", " ", "\t "])) + f
+                            + draw(st.sampled_from(["", " "])) for f in fields)
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines)
+
+
+def _read_outcome(reader, path):
+    try:
+        labels, stars = reader(path)
+    except ElementParseError as exc:
+        return str(exc)
+    return labels, stars.shape, stars.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_catalog_text())
+# |row|^2 of the first row is 1e-24 summed left to right and one ulp less
+# summed right to left; the second row the other way round
+@example(text="3.10024609160108e-13,6.801580225835288e-13,6.642814208077674e-13\n")
+@example(text="2.0233523534326242e-13,6.63115706929897e-13,7.206511026574853e-13\n")
+def test_catalog_reader_matches_the_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "property_catalog.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read_outcome(_read_catalog, str(path))
+    assert got == _read_outcome(reference_read_catalog, str(path)), text
+
+
+def test_aberrate_output_is_the_row_reader_shift(runner, tmp_path):
+    rng = np.random.default_rng(2024)
+    stars = rng.standard_normal((300, 3)) * rng.uniform(1e-3, 1e3, (300, 1))
+    lines = ["# seeded catalog"]
+    for k, row in enumerate(stars.tolist()):
+        lines.append((f"s{k}, " if k % 3 else "") + ", ".join(map(repr, row)))
+    catalog = tmp_path / "stars.csv"
+    catalog.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    out = tmp_path / "out.csv"
+    result = runner.invoke(
+        main, ["aberrate", "-v", "[0.3,-0.2,0.5]", "--catalog", str(catalog), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    labels, unit = reference_read_catalog(str(catalog))
+    shifted = boost_star_shift(unit, np.array([0.3, -0.2, 0.5]))
+    assert out.read_bytes() == _shift_table(labels, unit, shifted).encode("utf-8")
+
+
+@pytest.mark.parametrize("text", ["[0.1,,0.2]", "[0.1,0.2,]", "[,0.1,0.2]", "[]"])
+@pytest.mark.parametrize("command", ["compose", "aberrate", "starfield"])
+def test_empty_bracket_components_are_parse_errors(runner, tmp_path, command, text):
+    catalog = tmp_path / "stars.csv"
+    catalog.write_text("a,1,0\n")
+    args = {
+        "compose": ["compose", "-a", "clifford2", "-v", text, "-w", "[0,0]"],
+        "aberrate": ["aberrate", "-v", text, "--catalog", str(catalog), "--out", "-"],
+        "starfield": ["starfield", "-v", text, "--format", "csv"],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert repr(text) in result.stderr
 
 
 def test_unusable_input_writes_nothing(runner, tmp_path):

@@ -9,7 +9,9 @@ angle, against the angle read from the trace of the rotation matrix, and the
 number formatting of `menhir.parsing`, against `Fraction.limit_denominator`.
 `reference_boost_matrix` freezes the oracle's boost as first written: the
 verify failure set depends on how it rounds near the light cone, so the
-package's version must stay bitwise equal to it.  The `exact_*` helpers
+package's version must stay bitwise equal to it.  `reference_read_catalog`
+is the row-by-row catalog reader that the bulk `cli._read_catalog` must match
+in labels, bitwise in stars and in its error messages.  The `exact_*` helpers
 redo a computation from the same float inputs in 50-digit mpmath, which
 they import when called, so only the tests that use them need it.
 """
@@ -22,6 +24,7 @@ import numpy as np
 
 from menhir.algebra import vector_embed
 from menhir.calculus import MoebiusMatrix, menhir_of
+from menhir.parsing import ElementParseError
 
 
 def unit_vector(rng, n):
@@ -159,6 +162,43 @@ def reference_boost_matrix(v) -> np.ndarray:
     L[1:, 0] = g * v
     L[1:, 1:] += g * g / (g + 1.0) * np.outer(v, v)
     return L
+
+
+def reference_read_catalog(path: str):
+    """`cli._read_catalog` as first written, one row at a time: each row is
+    checked as it is read, so an error names the first bad row; the rows are
+    then normalised together in one array."""
+    labels, rows = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(",")  # float() ignores the spaces around a number
+            label = None
+            try:
+                float(fields[0])
+            except ValueError:
+                label = fields[0].strip()
+                fields = fields[1:]
+            try:
+                row = list(map(float, fields))
+            except ValueError as exc:
+                raise ElementParseError(f"{path}:{line_no}: bad catalog row") from exc
+            # |row|^2 in Python floats: an overflowing row reads inf, with no warning
+            if not 1e-24 <= sum(x * x for x in row) < math.inf:
+                raise ElementParseError(f"{path}:{line_no}: direction must be finite and nonzero")
+            labels.append(label if label is not None else f"star{len(labels)}")
+            rows.append(row)
+    if not rows:
+        raise ElementParseError(f"{path}: empty catalog")
+    if len({len(r) for r in rows}) != 1:
+        raise ElementParseError(f"{path}: inconsistent dimensions")
+    stars = np.array(rows)
+    # the stacked (1 x n)(n x 1) products take the dot of np.linalg.norm on one
+    # row, so each unit row is bitwise the row-by-row one
+    norms = np.sqrt((stars[:, None, :] @ stars[:, :, None]).ravel())
+    return labels, stars / norms[:, None]
 
 
 # -- 50-digit references ---------------------------------------------------------------
