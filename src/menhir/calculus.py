@@ -172,7 +172,9 @@ class RotationDescriptor:
     Acts on sphere points by z -> alpha z beta^{-1}.  Over the complexes this
     collapses to multiplication by the unit number rho = alpha/beta; over
     imaginary quaternions and Clifford vectors alpha = beta and the action is
-    the familiar conjugation sandwich.
+    the familiar conjugation sandwich.  `thomas_rotation` then passes one
+    element as both, so `beta is alpha` marks a rotor pair without comparing
+    coefficients; two elements with the same bits count as one too.
     """
 
     __slots__ = ("alpha", "beta")
@@ -190,9 +192,10 @@ class RotationDescriptor:
 
     def _as_rotor(self) -> _Rotor | None:
         """alpha as a rotor when alpha and beta are the same bits, else None."""
-        if self.alpha.coeffs.tobytes() != self.beta.coeffs.tobytes():
+        alpha, beta = self.alpha, self.beta
+        if beta is not alpha and alpha.coeffs.tobytes() != beta.coeffs.tobytes():
             return None
-        return _rotor(self.alpha)
+        return _rotor(alpha)
 
     def rho(self) -> Element:
         """alpha / beta; over the reals and complexes this is the unit rotation number."""
@@ -269,9 +272,15 @@ def thomas_rotation(e1: Element, e2: Element) -> RotationDescriptor:
     """Rotation left over after composing boost e1 (first) with boost e2."""
     _check_ball(e1, "menhir")
     _check_ball(e2, "menhir")
-    alpha = 1.0 + e2 * e1.conjugate()
-    beta = 1.0 + e2.conjugate() * e1
-    return RotationDescriptor(alpha, beta)
+    c1, c2 = e1.conjugate(), e2.conjugate()
+    alpha = 1.0 + e2 * c1
+    # beta is alpha bit for bit when conj(e) = -e for both menhirs (imaginary
+    # quaternions, Clifford vectors; a scalar part rules it out at once):
+    # (-e2) e1 has the terms of e2 (-e1), and `1.0 +` clears any -0.0
+    if not (e1.coeffs[0] or e2.coeffs[0] or np.count_nonzero(c1.coeffs + e1.coeffs)
+            or np.count_nonzero(c2.coeffs + e2.coeffs)):
+        return RotationDescriptor(alpha, alpha)
+    return RotationDescriptor(alpha, 1.0 + c2 * e1)
 
 
 class MoebiusMatrix:
@@ -350,19 +359,19 @@ def compose_velocities(v: Element, w: Element):
 def rotation_axis_angle(e1: Element, e2: Element, atol: float = 1e-12):
     """Axis and angle of the Thomas rotation for purely imaginary quaternion menhirs.
 
-    The sandwich element is q = 1 - e2 e1; axis = normalized Im q (None when the
-    rotation is trivial), angle = 2 atan2(|Im q|, Re q) in [0, pi), the closed
-    form that `RotationDescriptor.angle` uses.
+    The sandwich element is the rotor q = 1 - e2 e1 = s + B; axis = B / |B|
+    (None when the rotation is trivial, |B| <= 1e-14 |s|), angle =
+    2 atan2(|B|, |s|) in [0, pi), the closed form that
+    `RotationDescriptor.angle` uses.
     """
     for e in (e1, e2):
         if e.algebra.kind != "quaternion" or abs(e.coeffs[0]) > atol:
             raise ValueError("menhirs must be purely imaginary quaternions")
     q = 1.0 - e2 * e1
-    im = q.coeffs[1:]
-    im_norm = float(np.linalg.norm(im))
-    if im_norm <= 1e-14 * q.norm():
+    rotor = _rotor(q)  # None only for q = 0, which no two menhirs give
+    if rotor is None or rotor.norm_b <= 1e-14 * abs(rotor.s):
         return None, 0.0
-    return im / im_norm, _rotor(q).angle
+    return q.coeffs[1:] / rotor.norm_b, rotor.angle
 
 
 # -- menhir/velocity discrepancy ------------------------------------------------

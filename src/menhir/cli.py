@@ -92,10 +92,10 @@ def _parse_velocity(text: str, algebra):
 def _rotation_payload(descriptor):
     if descriptor.algebra.kind in ("real", "complex"):
         return format_element(descriptor.rho())
-    return {
-        "alpha": format_element(descriptor.alpha),
-        "beta": format_element(descriptor.beta),
-    }
+    alpha = format_element(descriptor.alpha)
+    # a rotor pair shares one element (see `thomas_rotation`): one text
+    beta = alpha if descriptor.beta is descriptor.alpha else format_element(descriptor.beta)
+    return {"alpha": alpha, "beta": beta}
 
 
 @main.command()
@@ -181,10 +181,15 @@ def _read_catalog(path: str):
     `aberrate` help gives.  The file is read at once and its rows are parsed
     and checked together.  An error names the first bad row in file order,
     whether float() rejects one of its numbers or its direction is zero or
-    non-finite.  An empty catalog and rows of unequal length are errors too."""
+    non-finite.  A file that is not UTF-8, an empty catalog and rows of
+    unequal length are errors too."""
     with open(path, "r", encoding="utf-8") as fh:
-        # read() translates newlines as iterating the file does
-        lines = [line.strip() for line in fh.read().split("\n")]
+        try:
+            # read() translates newlines as iterating the file does
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ElementParseError(f"{path}: not UTF-8 text") from exc
+    lines = [line.strip() for line in text.split("\n")]
     line_nos = [k for k, line in enumerate(lines, 1) if line and not line.startswith("#")]
     rows = [lines[k - 1] for k in line_nos]
     if not rows:
@@ -254,9 +259,10 @@ def _write(out_path: str, text: str):
 @main.command()
 @click.option("-v", "--velocity", "v_text", required=True, help="Boost velocity.")
 @click.option("--catalog", "catalog_path", required=True, type=click.Path(),
-              help="Star catalog, one star a row: [label,]x1,...,xn, where a first field that "
-                   "is not a number is a label. '#' lines and blank lines are skipped and rows "
-                   "are normalised; an error names file:line of the first bad row (exit 2).")
+              help="Star catalog, UTF-8 text with one star a row: [label,]x1,...,xn, where a "
+                   "first field that is not a number is a label. '#' lines and blank lines are "
+                   "skipped and rows are normalised; an error names file:line of the first bad "
+                   "row (exit 2).")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output CSV path ('-' for stdout).")
 @click.option("--debug", is_flag=True, help="Cross-check the shift three ways and report the spread.")
 @_exit_codes

@@ -158,21 +158,26 @@ _MAX_DENOMINATOR = 1_000_000
 def _best_rational(x: float) -> tuple[int, int]:
     """`Fraction(x).limit_denominator(_MAX_DENOMINATOR)` as (p, q): the closest
     p/q with q <= _MAX_DENOMINATOR, the last convergent winning a tie with the
-    semiconvergent."""
+    semiconvergent.  The loop follows the denominators alone; each numerator
+    is then the integer nearest q x.  The last convergent's numerator is that
+    integer, and so is the semiconvergent's when q1 >= 2 (both lie within 1/2
+    of q x); when q1 = 1 they differ only where the convergent wins anyway."""
     num, den = x.as_integer_ratio()
     if den <= _MAX_DENOMINATOR:
         return num, den
-    p0, q0, p1, q1 = 0, 1, 1, 0
+    q0, q1 = 1, 0
     n, d = num, den
     while True:
-        a = n // d
+        a, r = divmod(n, d)
         q2 = q0 + a * q1
         if q2 > _MAX_DENOMINATOR:
             break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (_MAX_DENOMINATOR - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
+        q0, q1 = q1, q2
+        n, d = d, r
+    q2 = q0 + (_MAX_DENOMINATOR - q0) // q1 * q1
+    # nearest integers to q num / den, exactly
+    p1 = (2 * q1 * num + den) // (2 * den)
+    p2 = (2 * q2 * num + den) // (2 * den)
     # |p1/q1 - x| <= |p2/q2 - x|, both sides multiplied by q1 q2 den
     if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
         return p1, q1
@@ -203,19 +208,19 @@ def _format_rational_unit(value: float, unit: str) -> str:
 
 
 def format_element(x: Element) -> str:
-    algebra = x.algebra
+    algebra, coeffs = x.algebra, x.coeffs
     if algebra.kind == "clifford":
-        idx = algebra.model_indices(algebra.n_gen)
-        rest = np.delete(x.coeffs, idx)
-        if rest.size == 0 or np.abs(rest).max() == 0.0:
-            values = x.coeffs[idx]
-        else:
-            values = x.coeffs
-        texts = ("0" if v == 0.0 else format_number(v) for v in values.tolist())
+        vector = coeffs[algebra.model_indices(algebra.n_gen)]
+        if np.count_nonzero(vector) == np.count_nonzero(coeffs):  # nothing off the model
+            coeffs = vector
+        # most blades of a rotor or a residue-laden vector are zero
+        texts = ["0"] * coeffs.size
+        slots = np.flatnonzero(coeffs)
+        for k, value in zip(slots.tolist(), coeffs[slots].tolist()):
+            texts[k] = format_number(value)
         return "[" + ",".join(texts) + "]"
-    units = ["", "i", "j", "k"][: algebra.dim]
     parts = []
-    for value, unit in zip(x.coeffs, units):
+    for value, unit in zip(coeffs.tolist(), ("", "i", "j", "k")):
         if value == 0.0:
             continue
         sign = "-" if value < 0 else ("+" if parts else "")

@@ -345,6 +345,33 @@ def test_thomas_rotation_pair_has_equal_norms():
             assert abs(rot.alpha.norm() - rot.beta.norm()) <= 1e-12
 
 
+def test_vector_menhirs_share_one_rotor():
+    """Where conj(e) = -e, beta is the element alpha itself, and its bits are
+    those of the second product; elsewhere beta stays its own product."""
+    rng = np.random.default_rng(31)
+
+    def pairs(algebra, n):
+        for _ in range(4 if n == 10 else 40):
+            yield random_menhir(rng, algebra, n), random_menhir(rng, algebra, n)
+        # exact and negative zeros, and a zero menhir
+        d = np.zeros(n)
+        d[0], d[-1] = -0.0, 0.5
+        yield vector_embed(d, algebra), vector_embed(-np.roll(d, 1), algebra)
+        yield algebra.zero, random_menhir(rng, algebra, n)
+
+    for algebra, n in [(QUATERNION, 3)] + [(clifford(k), k) for k in (2, 3, 4, 5, 10)]:
+        for e1, e2 in pairs(algebra, n):
+            rot = thomas_rotation(e1, e2)
+            assert rot.beta is rot.alpha
+            assert rot.beta.coeffs.tobytes() == (1.0 + e2.conjugate() * e1).coeffs.tobytes()
+    for algebra, n in ((COMPLEX, 2), (QUATERNION, 4)):
+        for e1, e2 in pairs(algebra, n):
+            rot = thomas_rotation(e1, e2)
+            if e1.coeffs[0] or e2.coeffs[0]:
+                assert rot.beta is not rot.alpha
+            assert rot.beta.coeffs.tobytes() == (1.0 + e2.conjugate() * e1).coeffs.tobytes()
+
+
 def test_rotation_matrix_matches_sandwich_reference():
     rng = np.random.default_rng(29)
     lanes = list(CONFIGS.values()) + [(clifford(10), 10)]

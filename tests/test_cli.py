@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menhir.algebra import COMPLEX
-from menhir.calculus import menhir_of
+from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_of, velocity_of
 from menhir.cli import _read_catalog, _shift_table, main
 from menhir.lorentz import axis_projection_shift
-from menhir.parsing import ElementParseError, parse_element
+from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
 from menhir.reversions import DegenerateConstructionWarning, boost_star_shift
 
-from util import reference_read_catalog
+from util import ball_vector, reference_format_element, reference_read_catalog
 
 
 @pytest.fixture
@@ -133,6 +133,62 @@ def test_compose_deterministic(runner):
     assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+def _reference_compose_json(tag, v_text, w_text, model_dim):
+    """The compose JSON rebuilt with the Thomas pair as two products and every
+    element through `reference_format_element`."""
+    algebra = parse_algebra_tag(tag)
+    ev = menhir_of(parse_element(v_text, algebra))
+    ew = menhir_of(parse_element(w_text, algebra))
+    composite = compose_menhirs(ev, ew)
+    u = velocity_of(composite)
+    rotation = RotationDescriptor(1.0 + ew * ev.conjugate(), 1.0 + ew.conjugate() * ev)
+    if algebra.kind in ("real", "complex"):
+        rotation_text = reference_format_element(rotation.rho())
+    else:
+        rotation_text = {"alpha": reference_format_element(rotation.alpha),
+                         "beta": reference_format_element(rotation.beta)}
+    payload = {
+        "menhir_v": reference_format_element(ev),
+        "menhir_w": reference_format_element(ew),
+        "composite_menhir": reference_format_element(composite),
+        "composite_velocity": reference_format_element(u),
+        "speed": u.norm(),
+        "rotation": rotation_text,
+        "angle_rad": rotation.angle(model_dim),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _velocity_text(tag, v):
+    """Velocity text exact to the last bit, as the benchmark's requests write it."""
+    if tag.startswith("clifford"):
+        return "[" + ",".join(map(repr, v)) + "]"
+    units = {"real": [""], "complex": ["", "i"], "quaternion": ["i", "j", "k"]}[tag]
+    return "".join(f"{x:+}{unit}" if k else f"{x!r}{unit}" for k, (x, unit) in enumerate(zip(v, units)))
+
+
+def _compose_cases():
+    # the README's examples, a 4-D quaternion pair, then seeded requests of
+    # every algebra the benchmark cycles through
+    cases = [("complex", "4/5", "3i/5", 2), ("quaternion", "0.5i", "0.5j", 3),
+             ("clifford4", "[0.5,0,0,0]", "[0,0.5,0,0]", 4), ("real", "1/2", "-1/3", 1),
+             ("quaternion", "0.1+0.5i", "0.5j-0.2k", 4)]
+    rng = np.random.default_rng(88)
+    for tag, n in (("real", 1), ("complex", 2), ("quaternion", 3), ("clifford3", 3),
+                   ("clifford5", 5), ("clifford10", 10)):
+        for _ in range(2 if n == 10 else 6):
+            v, w = (ball_vector(rng, n, 0.0, 0.95).tolist() for _ in range(2))
+            cases.append((tag, _velocity_text(tag, v), _velocity_text(tag, w), n))
+    return cases
+
+
+@pytest.mark.parametrize("tag,v_text,w_text,model_dim", _compose_cases())
+def test_compose_bytes_match_the_reference(runner, tag, v_text, w_text, model_dim):
+    result = runner.invoke(main, ["compose", "-a", tag, "-v", v_text, "-w", w_text])
+    assert result.exit_code == 0, result.output
+    assert result.output == _reference_compose_json(tag, v_text, w_text, model_dim)
+
+
 def test_aberrate(runner, tmp_path):
     catalog = tmp_path / "stars.csv"
     catalog.write_text("north,0,1\nfront,1,0\nback,-1,0\n")
@@ -210,6 +266,14 @@ def test_catalog_errors_name_the_first_bad_row(runner, tmp_path):
             result = runner.invoke(main, ["aberrate", "-v", "0.5", "--catalog", str(catalog), "--out", "-"])
         assert result.exit_code == 2, (rows, result.exception)
         assert result.stderr.strip().endswith(message), (rows, result.stderr)
+
+
+def test_catalog_that_is_not_utf8_is_one_clean_error(runner, tmp_path):
+    catalog = tmp_path / "stars.csv"
+    catalog.write_bytes(b"s1,0.5,\xff\xfe,0.1\n")
+    result = runner.invoke(main, ["aberrate", "-v", "0.5", "--catalog", str(catalog), "--out", "-"])
+    assert result.exit_code == 2, result.exception
+    assert result.stderr == f"error: {catalog}: not UTF-8 text\n"
 
 
 # catalog fields: mostly plain nonzero numbers; now and then one that float()

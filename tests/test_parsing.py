@@ -155,7 +155,7 @@ FORMAT_INPUTS = st.one_of(
 ).filter(lambda x: not _changed_on_purpose(x))
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=2000, deadline=None)
 @given(FORMAT_INPUTS)
 def test_format_number_matches_fraction_reference(x):
     assert format_number(x) == reference_format_number(x)
