@@ -25,9 +25,14 @@ Products are table-driven (the bitmap-blade scheme of Dorst, Fontijne & Mann,
 indexed by a left blade i and an output blade k: `_xor[i, k] = i ^ k` is the
 right blade that lands on k, and `_sign[i, k]` is the sign of e_i e_(i^k).
 Coefficient k of a b is then the sum over the nonzero a_i of
-a_i _sign[i, k] b_(i^k): one gather of b through those rows of the tables and
-one sum over the rows, taken in row order so that it rounds exactly as a loop
-over the blades of a.  The sign is the
+a_i _sign[i, k] b_(i^k), taken in row order so that it rounds exactly as a
+loop over the blades of a.  Small algebras form it as one gather of b through
+those rows of the tables and one sum over the rows.  From `_SPARSE_DIM` = 256
+slots up, where the calculus' vectors and scalar + bivector elements fill a
+few dozen of the 2^n slots, a 1-D b is multiplied over its nonzero slots
+only and one `bincount` adds the terms in the same row order; the terms it
+leaves out are exact zeros, so the values are the gather's up to the sign of
+a zero slot (norms likewise skip zero slots there).  The sign is the
 parity of the generator swaps and squares, popcount(B & (A ^ A>>1 ^ ...)) for
 A = i, B = i ^ k, so both tables are built with array operations on uint16
 blade masks.
@@ -63,6 +68,12 @@ __all__ = [
 
 # 2**10 blade coefficients; far beyond the desk scale this package targets.
 _MAX_GENERATORS = 10
+
+# Algebras of at least this many slots take products with a 1-D right operand,
+# and norms, over nonzero slots only.  On the calculus' sparse operands the
+# products cross over between 128 and 256 slots and norms between 32 and 64;
+# below the threshold the dense forms are cheaper or no dearer.
+_SPARSE_DIM = 256
 
 
 class AlgebraMismatchError(ValueError):
@@ -188,10 +199,27 @@ class Algebra:
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coefficients of a b for a 1-D `a`; `b` may stack right operands in
         its leading axes.  Only the rows of the nonzero coefficients of `a` are
-        gathered.  The terms are rounded one by one and summed row after row,
-        as a loop over the blades of `a` would, so terms that cancel in exact
-        arithmetic (x y - y x) cancel here too."""
+        used.  The terms are rounded one by one and summed row after row, as a
+        loop over the blades of `a` would, so terms that cancel in exact
+        arithmetic (x y - y x) cancel here too.
+
+        On algebras of `_SPARSE_DIM` slots or more, a 1-D `b` is multiplied
+        over its nonzero slots only: output k = i ^ j of row i and slot j gets
+        a_i _sign[i, k] b_j, and one `bincount` adds each output's terms in
+        row order, as the gather's row-wise sum does.  The terms it leaves out
+        are a_i (+-0.0), so for finite operands the two forms differ at most in
+        the sign of a zero slot (the bincount's is +0.0).  Below the threshold
+        the gather of b through all 2^n slots is cheaper, and a stacked `b`
+        always takes it."""
         rows = a.nonzero()[0]
+        if self.dim >= _SPARSE_DIM and b.ndim == 1:
+            cols = b.nonzero()[0]
+            k = rows[:, None] ^ cols
+            terms = self._sign.take(rows[:, None] * self.dim + k)  # _sign[i, k], flat
+            terms *= a.take(rows)[:, None]
+            terms *= b.take(cols)
+            # astype: with no terms at all, bincount returns int64 zeros
+            return np.bincount(k.ravel(), terms.ravel(), self.dim).astype(float, copy=False)
         # take() rather than fancy indexing: fewer microseconds on the small
         # algebras; in place below, so one temporary
         terms = b.take(self._xor.take(rows, axis=0), axis=-1)
@@ -332,8 +360,14 @@ class Element:
         return float(self.coeffs @ self.coeffs)
 
     def norm(self) -> float:
-        """Euclidean norm of the coefficients; finite for every finite element."""
-        return math.hypot(*self.coeffs.tolist())
+        """Euclidean norm of the coefficients; finite for every finite element.
+        On algebras of `_SPARSE_DIM` slots or more only the nonzero slots go
+        to `math.hypot`: a zero adds exactly nothing to its scaled sum of
+        squares, so the value is bitwise the hypot of all slots."""
+        coeffs = self.coeffs
+        if self.algebra.dim >= _SPARSE_DIM:
+            coeffs = coeffs[coeffs.nonzero()]
+        return math.hypot(*coeffs.tolist())
 
     def inverse(self, rtol: float = 1e-10) -> "Element":
         """x*/(x x*), valid when x x* is a nonzero scalar (division scalars,

@@ -42,7 +42,7 @@ from .reversions import (
     two_boost_fixed_points,
 )
 from .svgplot import render_starfield
-from .verify import CONFIGS, aberration_spread, run_equivalence
+from .verify import CONFIGS, aberration_spread, run_equivalence, trial_tolerance
 
 
 def _exit_codes(fn):
@@ -363,15 +363,17 @@ def verify(trials, seed, key, tier):
     """Check the menhir calculus against the Lorentz-matrix oracle.
 
     Tolerance: 1e-9 (normal), 1e-6 (stress); the MENHIR_TOLERANCE environment
-    variable overrides it.  Exit code 1 when any trial fails.
+    variable overrides it with a finite number >= 0.  A trial fails unless
+    both of its errors are within the tolerance.  Exit code 1 when any trial
+    fails.
     """
     tolerance = None
     env = os.environ.get("MENHIR_TOLERANCE")
     if env:
         try:
-            tolerance = float(env)
+            tolerance = trial_tolerance(tier, float(env))
         except ValueError:
-            raise click.UsageError(f"MENHIR_TOLERANCE={env!r} is not a number")
+            raise click.UsageError(f"MENHIR_TOLERANCE={env!r} is not a finite number >= 0") from None
 
     keys = list(CONFIGS) if key == "all" else [key]
     any_failures = False

@@ -36,6 +36,7 @@ __all__ = [
     "run_equivalence",
     "sample_direction",
     "sample_velocity",
+    "trial_tolerance",
 ]
 
 #: algebra and spatial dimension for each verification lane
@@ -129,6 +130,16 @@ class RunReport:
         return not self.failures
 
 
+def trial_tolerance(tier: str, tolerance: float | None = None) -> float:
+    """The error bound a trial of `tier` must meet: `tolerance`, or the
+    tier's own when None.  A NaN, infinite or negative bound would pass
+    trials it cannot judge, so it raises ValueError."""
+    tol = TIERS[tier][2] if tolerance is None else tolerance
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
+
+
 def run_equivalence(
     key: str,
     trials: int,
@@ -143,15 +154,16 @@ def run_equivalence(
         raise ValueError(f"unknown configuration {key!r}; choose from {sorted(CONFIGS)}")
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}")
-    tol = TIERS[tier][2] if tolerance is None else tolerance
+    tol = trial_tolerance(tier, tolerance)
 
     report = RunReport(trials=trials)
     for index in range(trials):
         rng = np.random.default_rng([seed, index])
         v_err, r_err, v, w = composition_trial(rng, key, tier)
-        report.max_velocity_error = max(report.max_velocity_error, v_err)
-        report.max_rotation_error = max(report.max_rotation_error, r_err)
-        if v_err > tol or r_err > tol:
+        # a NaN error replaces the max and stays there (max(nan, x) is nan)
+        report.max_velocity_error = max(report.max_velocity_error, v_err) if v_err == v_err else v_err
+        report.max_rotation_error = max(report.max_rotation_error, r_err) if r_err == r_err else r_err
+        if not (v_err <= tol and r_err <= tol):
             report.failures.append(
                 ((seed, index), {"v": v.tolist(), "w": w.tolist()}, {"velocity": v_err, "rotation": r_err})
             )

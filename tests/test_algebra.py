@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,7 +303,9 @@ _SPARSE_COEFF = st.one_of(st.just(0.0), _COEFF)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mul_coeffs_matches_reference_hypothesis(data):
-    n = data.draw(st.integers(0, 6))
+    # up to 2^8 slots: both sides of algebra._SPARSE_DIM, where a 1-D right
+    # operand is multiplied over its nonzero slots and a stacked one is not
+    n = data.draw(st.integers(0, 8))
     algebra = clifford(n) if n else REAL
     coeff = data.draw(st.sampled_from([_COEFF, _SPARSE_COEFF]))  # dense or sparse operands
     a, b, c = (np.array(data.draw(st.lists(coeff, min_size=algebra.dim, max_size=algebra.dim)))
@@ -325,8 +329,30 @@ def test_mul_coeffs_matches_reference_clifford10():
         e, f = np.zeros(algebra.dim), np.zeros(algebra.dim)
         e[vectors], f[vectors] = rng.standard_normal(10), rng.standard_normal(10)
         denominator = algebra.one.coeffs + algebra.mul_coeffs(e, f)
-        for p, q in ((a, rng.standard_normal(algebra.dim)), (e, f), (denominator, e)):
+        # and the product inside Element.inverse (scalar + bivector times its
+        # conjugate), a unit rotor times a vector, a vector times the rotor
+        rotor = denominator / np.linalg.norm(denominator)
+        pairs = ((a, rng.standard_normal(algebra.dim)), (e, f), (denominator, e),
+                 (denominator, denominator * algebra.conj_sign), (rotor, f), (f, rotor))
+        for p, q in pairs:
             assert np.array_equal(algebra.mul_coeffs(p, q), reference_mul_coeffs(algebra, p, q))
+    zero = np.zeros(algebra.dim)
+    for p, q in ((zero, zero), (zero, rng.standard_normal(algebra.dim)), (e, zero)):
+        product = algebra.mul_coeffs(p, q)
+        assert product.dtype == np.float64 and product.shape == (algebra.dim,)
+        assert not product.any()
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_norm_is_bitwise_the_hypot_of_every_slot(n):
+    algebra = clifford(n) if n else REAL
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        dense = rng.standard_normal(algebra.dim) * 10.0 ** rng.integers(-200, 200)
+        sparse = np.where(rng.random(algebra.dim) < 0.05, dense, 0.0)
+        vector = vector_embed(rng.standard_normal(max(n, 1)), algebra).coeffs
+        for coeffs in (dense, sparse, vector, -0.0 * dense):
+            assert algebra.element(coeffs).norm() == math.hypot(*coeffs.tolist())
 
 
 

@@ -9,14 +9,14 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from menhir.algebra import COMPLEX
+from menhir.algebra import COMPLEX, Algebra, Element
 from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_of, velocity_of
 from menhir.cli import _read_catalog, _shift_table, main
 from menhir.lorentz import axis_projection_shift
 from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
 from menhir.reversions import DegenerateConstructionWarning, boost_star_shift
 
-from util import ball_vector, reference_format_element, reference_read_catalog
+from util import ball_vector, reference_format_element, reference_mul_coeffs, reference_read_catalog
 
 
 @pytest.fixture
@@ -133,30 +133,43 @@ def test_compose_deterministic(runner):
     assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+def _reference_products(algebra, a, b):
+    """`Algebra.mul_coeffs` by the blade-by-blade loop, row by row for a
+    stacked `b`."""
+    if b.ndim == 1:
+        return reference_mul_coeffs(algebra, a, b)
+    return np.array([reference_mul_coeffs(algebra, a, row) for row in b])
+
+
 def _reference_compose_json(tag, v_text, w_text, model_dim):
-    """The compose JSON rebuilt with the Thomas pair as two products and every
-    element through `reference_format_element`."""
-    algebra = parse_algebra_tag(tag)
-    ev = menhir_of(parse_element(v_text, algebra))
-    ew = menhir_of(parse_element(w_text, algebra))
-    composite = compose_menhirs(ev, ew)
-    u = velocity_of(composite)
-    rotation = RotationDescriptor(1.0 + ew * ev.conjugate(), 1.0 + ew.conjugate() * ev)
-    if algebra.kind in ("real", "complex"):
-        rotation_text = reference_format_element(rotation.rho())
-    else:
-        rotation_text = {"alpha": reference_format_element(rotation.alpha),
-                         "beta": reference_format_element(rotation.beta)}
-    payload = {
-        "menhir_v": reference_format_element(ev),
-        "menhir_w": reference_format_element(ew),
-        "composite_menhir": reference_format_element(composite),
-        "composite_velocity": reference_format_element(u),
-        "speed": u.norm(),
-        "rotation": rotation_text,
-        "angle_rad": rotation.angle(model_dim),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The compose JSON rebuilt with the Thomas pair as two products, every
+    product by the blade-by-blade loop, every norm by `math.hypot` of all
+    slots and every element through `reference_format_element`, so that a
+    fault in the product kernel or the norm cannot move the reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Algebra, "mul_coeffs", _reference_products)
+        patch.setattr(Element, "norm", lambda x: math.hypot(*x.coeffs.tolist()))
+        algebra = parse_algebra_tag(tag)
+        ev = menhir_of(parse_element(v_text, algebra))
+        ew = menhir_of(parse_element(w_text, algebra))
+        composite = compose_menhirs(ev, ew)
+        u = velocity_of(composite)
+        rotation = RotationDescriptor(1.0 + ew * ev.conjugate(), 1.0 + ew.conjugate() * ev)
+        if algebra.kind in ("real", "complex"):
+            rotation_text = reference_format_element(rotation.rho())
+        else:
+            rotation_text = {"alpha": reference_format_element(rotation.alpha),
+                             "beta": reference_format_element(rotation.beta)}
+        payload = {
+            "menhir_v": reference_format_element(ev),
+            "menhir_w": reference_format_element(ew),
+            "composite_menhir": reference_format_element(composite),
+            "composite_velocity": reference_format_element(u),
+            "speed": u.norm(),
+            "rotation": rotation_text,
+            "angle_rad": rotation.angle(model_dim),
+        }
+        return json.dumps(payload, indent=2) + "\n"
 
 
 def _velocity_text(tag, v):
@@ -169,13 +182,14 @@ def _velocity_text(tag, v):
 
 def _compose_cases():
     # the README's examples, a 4-D quaternion pair, then seeded requests of
-    # every algebra the benchmark cycles through
+    # every algebra the benchmark cycles through, and of clifford6 and
+    # clifford8 on either side of algebra._SPARSE_DIM
     cases = [("complex", "4/5", "3i/5", 2), ("quaternion", "0.5i", "0.5j", 3),
              ("clifford4", "[0.5,0,0,0]", "[0,0.5,0,0]", 4), ("real", "1/2", "-1/3", 1),
              ("quaternion", "0.1+0.5i", "0.5j-0.2k", 4)]
     rng = np.random.default_rng(88)
     for tag, n in (("real", 1), ("complex", 2), ("quaternion", 3), ("clifford3", 3),
-                   ("clifford5", 5), ("clifford10", 10)):
+                   ("clifford5", 5), ("clifford10", 10), ("clifford6", 6), ("clifford8", 8)):
         for _ in range(2 if n == 10 else 6):
             v, w = (ball_vector(rng, n, 0.0, 0.95).tolist() for _ in range(2))
             cases.append((tag, _velocity_text(tag, v), _velocity_text(tag, w), n))
@@ -523,6 +537,14 @@ def test_verify_tolerance_env_failure(runner):
     )
     assert result.exit_code == 1
     assert "failing seed" in result.output or "FAIL" in result.output
+
+
+def test_verify_rejects_tolerances_that_judge_nothing(runner):
+    for bad in ("nan", "inf", "-1", "one"):
+        result = runner.invoke(main, ["verify", "--trials", "5", "-a", "complex"],
+                               env={"MENHIR_TOLERANCE": bad})
+        assert result.exit_code == 2, (bad, result.output)
+        assert result.output.count("Error: MENHIR_TOLERANCE=") == 1
 
 
 def test_goldenscan(runner, tmp_path):

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from menhir import verify
 from menhir.algebra import vector_embed, vector_part
@@ -28,6 +31,32 @@ def test_master_seeds_draw_independent_trials(monkeypatch):
     second = _drawn_pairs(monkeypatch, 43)
     assert len(set(first)) == len(first) == 1000
     assert not set(first) & set(second)
+
+
+def test_nan_error_fails_its_trial(monkeypatch):
+    calls = []
+
+    def nan_first(rng, key, tier="normal"):
+        """A NaN velocity (clifford3) or rotation error in the first trial only."""
+        v_err, r_err, v, w = _TRIAL(rng, key, tier)
+        calls.append(key)
+        if len(calls) == 1:
+            return (math.nan, r_err, v, w) if key == "clifford3" else (v_err, math.nan, v, w)
+        return v_err, r_err, v, w
+
+    monkeypatch.setattr(verify, "composition_trial", nan_first)
+    for key, field in (("clifford3", "max_velocity_error"), ("complex", "max_rotation_error")):
+        calls.clear()
+        report = verify.run_equivalence(key, 3, 42)
+        assert not report.ok and [k[1] for k, _, _ in report.failures] == [0]
+        assert math.isnan(getattr(report, field))
+
+
+def test_tolerance_must_be_finite_and_non_negative():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            verify.run_equivalence("complex", 1, 42, tolerance=bad)
+    assert verify.run_equivalence("complex", 1, 42, tolerance=0.0).trials == 1
 
 
 def test_failure_key_replays_its_trial():
