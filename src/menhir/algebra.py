@@ -20,22 +20,23 @@ element, and Clifford scalars, vectors, and scalar-plus-simple-bivector
 elements such as the 1 - e f denominators produced by the composition law.
 General multivector inversion is deliberately out of scope.
 
-Products are table-driven (the bitmap-blade scheme of Dorst, Fontijne & Mann,
-*Geometric Algebra for Computer Science*, ch. 19).  Two (2^n, 2^n) tables are
-indexed by a left blade i and an output blade k: `_xor[i, k] = i ^ k` is the
-right blade that lands on k, and `_sign[i, k]` is the sign of e_i e_(i^k).
-Coefficient k of a b is then the sum over the nonzero a_i of
-a_i _sign[i, k] b_(i^k), taken in row order so that it rounds exactly as a
-loop over the blades of a.  Small algebras form it as one gather of b through
-those rows of the tables and one sum over the rows.  From `_SPARSE_DIM` = 256
-slots up, where the calculus' vectors and scalar + bivector elements fill a
-few dozen of the 2^n slots, a 1-D b is multiplied over its nonzero slots
-only and one `bincount` adds the terms in the same row order; the terms it
-leaves out are exact zeros, so the values are the gather's up to the sign of
-a zero slot (norms likewise skip zero slots there).  The sign is the
-parity of the generator swaps and squares, popcount(B & (A ^ A>>1 ^ ...)) for
-A = i, B = i ^ k, so both tables are built with array operations on uint16
-blade masks.
+Products follow the bitmap-blade scheme of Dorst, Fontijne & Mann,
+*Geometric Algebra for Computer Science*, ch. 19: the sign of e_i e_j is the
+parity of the generator swaps and squares, popcount(j & (i ^ i>>1 ^ ...)),
+read from two per-blade vectors every algebra keeps, as
+`parity_sign[j & prefix[i]]`.  Coefficient k of a b is the sum over the
+nonzero a_i of a_i sign(e_i e_j) b_j with j = i ^ k, taken in row order so
+that it rounds exactly as a loop over the blades of a.  Below `_SPARSE_DIM`
+= 256 slots two (2^n, 2^n) tables are built from those vectors, indexed by a
+left blade i and an output blade k: `_xor[i, k] = i ^ k` and `_sign[i, k]`,
+the sign of e_i e_(i^k); a product is one gather of b through those rows of
+the tables and one sum over the rows.  From `_SPARSE_DIM` up, where the
+tables would take 10 MB at 2^10 slots and the calculus' vectors and scalar +
+bivector elements fill a few dozen slots, no table exists: b, or each
+stacked right operand in turn, is multiplied over its nonzero slots only and
+one `bincount` adds the terms in the same row order; the terms it leaves out
+are exact zeros, so the values are the gather's up to the sign of a zero
+slot (norms likewise skip zero slots there).
 
 Coefficients are validated once, where they enter: `Algebra.element` (and the
 text parsers, which build their arrays themselves) turns its input into a
@@ -69,10 +70,11 @@ __all__ = [
 # 2**10 blade coefficients; far beyond the desk scale this package targets.
 _MAX_GENERATORS = 10
 
-# Algebras of at least this many slots take products with a 1-D right operand,
-# and norms, over nonzero slots only.  On the calculus' sparse operands the
-# products cross over between 128 and 256 slots and norms between 32 and 64;
-# below the threshold the dense forms are cheaper or no dearer.
+# Algebras of at least this many slots build no sign or xor table and take
+# products and norms over nonzero slots only.  On the calculus' sparse
+# operands the products cross over between 128 and 256 slots and norms
+# between 32 and 64; below the threshold the dense forms are cheaper or no
+# dearer.
 _SPARSE_DIM = 256
 
 
@@ -88,28 +90,27 @@ class UnsupportedDimensionError(ValueError):
     """Vector length does not fit the algebra's vector model."""
 
 
-def _blade_tables(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
-    """(_sign, _xor) over 2**n_gen blades, indexed by left blade i and output
-    blade k: _xor[i, k] = i ^ k and _sign[i, k] = sign of e_i e_(i^k), with
-    every generator squaring to -1."""
+def _blade_vectors(n_gen: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grades, prefix) of the 2**n_gen blade masks m: grades[m] is the
+    popcount of m and prefix[m] = m ^ m>>1 ^ ..., whose bit j is the parity
+    of the bits of m at or above j."""
     masks = np.arange(1 << n_gen, dtype=np.uint16)
-    parity = np.zeros(masks.size, dtype=np.uint8)  # popcount parity of each mask
-    prefix = np.zeros_like(masks)  # A ^ A>>1 ^ ...: bit j is the parity of A's bits >= j
+    grades = np.zeros(masks.size, dtype=np.int64)
+    prefix = np.zeros_like(masks)
     for s in range(n_gen):
-        parity ^= (masks >> s).astype(np.uint8) & 1
+        grades += (masks >> s) & 1
         prefix ^= masks >> s
-    xor = masks[:, None] ^ masks[None, :]
-    # B & prefix(A) pairs each generator of B with every generator of A at or
-    # above it: the swaps to sort e_A e_B plus the e_j^2 = -1 squares
-    sign = np.where(parity[xor & prefix[:, None]], -1.0, 1.0)
-    return sign, xor
+    return grades, prefix
 
 
 class Algebra:
-    """Multiplication and conjugation tables over 2**n_gen basis blades."""
+    """Multiplication and conjugation rules over 2**n_gen basis blades.  The
+    sign of e_i e_j is `parity_sign[j & prefix[i]]`, from two per-blade
+    vectors; the `_sign` and `_xor` tables are built from them below
+    `_SPARSE_DIM` slots, and are None from there up."""
 
-    __slots__ = ("kind", "n_gen", "dim", "_sign", "_xor", "conj_sign", "grades", "blade_names",
-                 "_models")
+    __slots__ = ("kind", "n_gen", "dim", "_sign", "_xor", "parity_sign", "prefix", "conj_sign",
+                 "grades", "blade_names", "_models")
 
     def __init__(self, kind: str, n_gen: int):
         if kind not in ("real", "complex", "quaternion", "clifford"):
@@ -119,9 +120,13 @@ class Algebra:
         self.kind = kind
         self.n_gen = n_gen
         self.dim = 1 << n_gen
-        self._sign, self._xor = _blade_tables(n_gen)
-        idx = np.arange(self.dim)
-        self.grades = np.array([int(i).bit_count() for i in idx])
+        self.grades, self.prefix = _blade_vectors(n_gen)
+        self.parity_sign = np.where(self.grades & 1, -1.0, 1.0)
+        self._sign = self._xor = None
+        if self.dim < _SPARSE_DIM:
+            masks = np.arange(self.dim, dtype=np.uint16)
+            self._xor = masks[:, None] ^ masks
+            self._sign = self.parity_sign[self._xor & self.prefix[:, None]]
         # (-1)^(k(k+1)/2): + - - + repeating in the grade
         self.conj_sign = np.where(np.isin(self.grades % 4, (0, 3)), 1.0, -1.0)
         self.blade_names = self._names()
@@ -203,19 +208,23 @@ class Algebra:
         loop over the blades of `a` would, so terms that cancel in exact
         arithmetic (x y - y x) cancel here too.
 
-        On algebras of `_SPARSE_DIM` slots or more, a 1-D `b` is multiplied
-        over its nonzero slots only: output k = i ^ j of row i and slot j gets
-        a_i _sign[i, k] b_j, and one `bincount` adds each output's terms in
-        row order, as the gather's row-wise sum does.  The terms it leaves out
-        are a_i (+-0.0), so for finite operands the two forms differ at most in
-        the sign of a zero slot (the bincount's is +0.0).  Below the threshold
-        the gather of b through all 2^n slots is cheaper, and a stacked `b`
-        always takes it."""
+        On algebras of `_SPARSE_DIM` slots or more, which keep no tables, `b`
+        (each stacked right operand in turn) is multiplied over its nonzero
+        slots only: output k = i ^ j of row i and slot j gets
+        a_i parity_sign[j & prefix[i]] b_j, and one `bincount` adds each
+        output's terms in row order, as the gather's row-wise sum does.  The
+        terms it leaves out are a_i (+-0.0), so for finite operands the two
+        forms differ at most in the sign of a zero slot (the bincount's is
+        +0.0).  Below the threshold the gather of b through the table rows of
+        all 2^n slots is cheaper."""
         rows = a.nonzero()[0]
-        if self.dim >= _SPARSE_DIM and b.ndim == 1:
+        if self.dim >= _SPARSE_DIM:
+            if b.ndim > 1:  # one stacked right operand at a time
+                out = [self.mul_coeffs(a, row) for row in b.reshape(-1, self.dim)]
+                return np.array(out).reshape(b.shape)
             cols = b.nonzero()[0]
             k = rows[:, None] ^ cols
-            terms = self._sign.take(rows[:, None] * self.dim + k)  # _sign[i, k], flat
+            terms = self.parity_sign.take(cols & self.prefix.take(rows)[:, None])  # e_i e_j
             terms *= a.take(rows)[:, None]
             terms *= b.take(cols)
             # astype: with no terms at all, bincount returns int64 zeros
@@ -228,8 +237,11 @@ class Algebra:
         return np.add.reduce(terms, axis=-2)
 
     def blade_mul(self, masks: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Rows e_m b for each basis blade m in `masks`: a pure gather."""
-        return self._sign[masks] * b[self._xor[masks]]
+        """Rows e_m b for each basis blade m in `masks`: output k of row m is
+        b_j signed as e_m e_j, j = m ^ k, a gather of b whose signs come from
+        the per-blade vectors on every algebra, so no table is read."""
+        j = masks[:, None] ^ np.arange(self.dim)
+        return self.parity_sign[j & self.prefix[masks][:, None]] * b[j]
 
 
 REAL = Algebra("real", 0)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Element
+from .algebra import Element, SingularElementError
 
 __all__ = [
     "DecomposedTransform",
@@ -204,17 +204,21 @@ class RotationDescriptor:
     def matrix(self, model_dim: int) -> np.ndarray:
         """Matrix of the sandwich action on the model vector space.
 
-        Two kinds of pair take a closed form, with no basis sandwich:
+        Three kinds of pair take a closed form, with no basis sandwich:
         - the complex plane (model 2): rho = alpha/beta = c + s i gives
           [[c, -s], [s, c]];
         - rotor pairs, alpha = beta = s + B with B a simple bivector, as
           `thomas_rotation` builds for Clifford vectors and imaginary
           quaternions (model 3): I + (2s/q) F^T + (2/q) F^2 with F the
-          antisymmetric matrix of B and q = s^2 + |B|^2 (see `_rotor`).
-        Every other pair (the real line, the 4-D quaternion model where
-        alpha != beta, hand-made pairs) is sandwiched: column k is
-        alpha (e_k beta^{-1}), the right factor a gather per basis blade and
-        the left product one stacked `mul_coeffs`.  A column with a
+          antisymmetric matrix of B and q = s^2 + |B|^2 (see `_rotor`);
+        - the full quaternions (model 4): the isoclinic product
+          L(alpha/|alpha|) R(conj(beta)/|beta|) of the matrices of left and
+          right multiplication, orthogonal to rounding.  It is the sandwich
+          scaled by |beta|/|alpha|, which is 1 for a Thomas pair; a zero
+          alpha or beta raises SingularElementError.
+        Every other pair (the real line, hand-made pairs) is sandwiched:
+        column k is alpha (e_k beta^{-1}), the right factor a gather per
+        basis blade and the left product one stacked `mul_coeffs`.  A column with a
         coefficient above 1e-6 outside the model raises ValueError (the pair
         does not preserve the model); a beta with no inverse raises
         SingularElementError."""
@@ -222,6 +226,15 @@ class RotationDescriptor:
         if kind == "complex" and model_dim == 2:
             c, s = self.rho().coeffs.tolist()
             return np.array([[c, -s], [s, c]])
+        if kind == "quaternion" and model_dim == 4:
+            na, nb = self.alpha.norm(), self.beta.norm()
+            if na * na < 1e-300 or nb * nb < 1e-300:
+                raise SingularElementError(f"{self!r} has no rotation")
+            a, b, c, d = (self.alpha.coeffs / na).tolist()
+            e, f, g, h = (self.beta.coeffs / nb).tolist()
+            left = np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+            right = np.array([[e, f, g, h], [-f, e, -h, g], [-g, h, e, -f], [-h, -g, f, e]])
+            return left @ right
         if (kind == "clifford" and model_dim == algebra.n_gen) or (
                 kind == "quaternion" and model_dim == 3):
             rotor = self._as_rotor()

@@ -9,6 +9,7 @@ from menhir.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
+    Algebra,
     AlgebraMismatchError,
     Element,
     SingularElementError,
@@ -17,7 +18,13 @@ from menhir.algebra import (
     vector_embed,
     vector_part,
 )
-from util import ball_vector, random_element, reference_mul_coeffs, reference_sign_table
+from util import (
+    ball_vector,
+    random_element,
+    reference_blade_sign,
+    reference_mul_coeffs,
+    reference_sign_table,
+)
 
 ALGEBRAS = [REAL, COMPLEX, QUATERNION, clifford(2), clifford(3), clifford(4), clifford(5)]
 
@@ -296,6 +303,57 @@ def test_sign_table_matches_reference():
         assert np.array_equal(algebra._sign, reference_sign_table(n)[idx[:, None], idx[:, None] ^ idx])
 
 
+# From algebra._SPARSE_DIM = 256 slots (n >= 8) an algebra keeps no tables:
+# signs come from its per-blade vectors, parity_sign[j & prefix[i]].
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_sign_rule_of_the_table_free_algebras(n):
+    algebra = clifford(n)
+    assert algebra._sign is None and algebra._xor is None
+    if n == 8:  # every pair
+        i, j = (x.ravel() for x in np.indices((algebra.dim, algebra.dim)))
+    else:
+        i, j = np.random.default_rng(n).integers(0, algebra.dim, size=(2, 20000))
+    expected = [reference_blade_sign(int(x), int(y)) for x, y in zip(i, j)]
+    assert np.array_equal(algebra.parity_sign[j & algebra.prefix[i]], expected)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_stacked_and_blade_products_match_reference(n):
+    # equal up to the sign of a zero slot, which np.array_equal ignores
+    algebra = clifford(n) if n else REAL
+    rng = np.random.default_rng(40 + n)
+    dim = algebra.dim
+    masks = np.unique(np.concatenate(([0, dim - 1], 1 << np.arange(n), rng.integers(0, dim, 4))))
+    for density in (1.0, 0.05):
+        a = np.zeros(dim)
+        a[rng.choice(dim, size=min(dim, 24), replace=False)] = rng.standard_normal(min(dim, 24))
+        b = np.where(rng.random((2, 3, dim)) < density, rng.standard_normal((2, 3, dim)), 0.0)
+        b[1, 2] = 0.0
+        stacked = algebra.mul_coeffs(a, b)
+        assert stacked.dtype == np.float64 and stacked.shape == b.shape
+        for row, right in zip(stacked.reshape(-1, dim), b.reshape(-1, dim)):
+            assert np.array_equal(row, reference_mul_coeffs(algebra, a, right))
+        rows = algebra.blade_mul(masks, b[0, 0])
+        assert rows.shape == (masks.size, dim)
+        for m, row in zip(masks, rows):
+            blade = np.zeros(dim)
+            blade[m] = 1.0
+            assert np.array_equal(row, reference_mul_coeffs(algebra, blade, b[0, 0]))
+    assert algebra.mul_coeffs(a, np.zeros((0, dim))).shape == (0, dim)
+
+
+def test_table_free_algebras_hold_small_arrays():
+    held = 0
+    for n in (8, 9, 10):
+        algebra = clifford(n)
+        arrays = [getattr(algebra, name) for name in Algebra.__slots__]
+        arrays = [x for x in arrays if isinstance(x, np.ndarray)] + list(algebra._models.values())
+        assert max(x.size for x in arrays) <= algebra.dim
+        held += sum(x.nbytes for x in arrays)
+    assert held < 64 * 1024
+
+
 _COEFF = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
 _SPARSE_COEFF = st.one_of(st.just(0.0), _COEFF)
 
@@ -303,8 +361,8 @@ _SPARSE_COEFF = st.one_of(st.just(0.0), _COEFF)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mul_coeffs_matches_reference_hypothesis(data):
-    # up to 2^8 slots: both sides of algebra._SPARSE_DIM, where a 1-D right
-    # operand is multiplied over its nonzero slots and a stacked one is not
+    # up to 2^8 slots: both sides of algebra._SPARSE_DIM, from where products
+    # are taken over nonzero slots, a stacked right operand row by row
     n = data.draw(st.integers(0, 8))
     algebra = clifford(n) if n else REAL
     coeff = data.draw(st.sampled_from([_COEFF, _SPARSE_COEFF]))  # dense or sparse operands

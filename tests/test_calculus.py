@@ -36,6 +36,7 @@ from menhir.verify import CONFIGS, TIERS, sample_velocity
 from util import (
     ball_vector,
     exact_quaternion_angle,
+    exact_quaternion_rotation_matrix,
     normalized,
     random_menhir,
     reference_angle,
@@ -423,13 +424,13 @@ _DIRECTION = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(CONFIGS)), _DIRECTION, _DIRECTION, _SPEED, _SPEED)
 def test_rotation_matrix_is_a_rotation_hypothesis(key, d1, d2, s1, s2):
-    """Every lane's matrix is a proper rotation and agrees with the sandwich
-    reference, up to speeds 1e-9 below the cone.  The 4-D quaternion lane
-    keeps the sandwich of the separately rounded alpha and beta, whose
-    norms differ by a few eps/|beta| relatively; near the cone and nearly
-    antiparallel |beta| falls to about 1e-4, so its orthogonality is checked
-    to 1e-13 plus 8 eps/|beta| (2.8e-13 seen at |beta| = 1.04e-4).  The
-    closed forms are orthogonal by construction and are held to 1e-13."""
+    """Every lane's matrix is a proper rotation to 1e-13, up to speeds 1e-9
+    below the cone, and agrees with a reference to 1e-14.  The reference is
+    the float sandwich, except on the 4-D quaternion lane: there the
+    separately rounded alpha and beta have norms up to a few 1e-13 apart
+    relatively, which the float sandwich keeps and the isoclinic closed form
+    drops, so that lane is checked against the 50-digit sandwich of the same
+    alpha and beta scaled by |beta|/|alpha|."""
     algebra, n = CONFIGS[key]
     d1, d2 = np.array(d1[:n]), np.array(d2[:n])
     assume(min(np.linalg.norm(d1), np.linalg.norm(d2)) > 1e-3)
@@ -438,12 +439,13 @@ def test_rotation_matrix_is_a_rotation_hypothesis(key, d1, d2, s1, s2):
     rot = thomas_rotation(menhir_of(vector_embed(v, algebra)),
                           menhir_of(vector_embed(w, algebra)))
     o = rot.matrix(n)
-    tol = 1e-13
+    assert np.abs(o.T @ o - np.eye(n)).max() <= 1e-13
+    assert abs(np.linalg.det(o) - 1.0) <= n * 1e-13
     if key == "quaternion":
-        tol += 8 * np.finfo(float).eps / rot.beta.norm()
-    assert np.abs(o.T @ o - np.eye(n)).max() <= tol
-    assert abs(np.linalg.det(o) - 1.0) <= n * tol
-    assert np.abs(o - reference_rotation_matrix(rot, n)).max() <= 1e-14
+        reference = exact_quaternion_rotation_matrix(rot.alpha, rot.beta)
+    else:
+        reference = reference_rotation_matrix(rot, n)
+    assert np.abs(o - reference).max() <= 1e-14
 
 
 def test_rotation_matrix_rejects_an_off_model_pair():
@@ -452,11 +454,14 @@ def test_rotation_matrix_rejects_an_off_model_pair():
     with pytest.raises(ValueError):
         RotationDescriptor(1.0 + e1, algebra.one).matrix(3)
     # singular pairs raise as the sandwich's beta^{-1} does, on the
-    # closed-form lanes too: a zero beta, a zero rotor, a non-simple bivector
+    # closed-form lanes too: a zero beta, a zero rotor, a non-simple bivector,
+    # and on the 4-D quaternion model a zero alpha as well
     c4 = clifford(4)
     non_simple = 1.0 + c4.basis_blade(0b0011) + c4.basis_blade(0b1100)
     for rot, n in ((RotationDescriptor(COMPLEX.one, COMPLEX.zero), 2),
                    (RotationDescriptor(QUATERNION.zero, QUATERNION.zero), 3),
+                   (RotationDescriptor(QUATERNION.one, QUATERNION.zero), 4),
+                   (RotationDescriptor(QUATERNION.zero, QUATERNION.one), 4),
                    (RotationDescriptor(algebra.zero, algebra.zero), 3),
                    (RotationDescriptor(non_simple, non_simple), 4)):
         with pytest.raises(SingularElementError):

@@ -248,6 +248,37 @@ def _exact_ham(p, q):
             a * h + b * g - c * f + d * e]
 
 
+def _exact_sandwich(alpha, beta):
+    """The 4x4 mpmath matrix of z -> alpha z beta^{-1} on the quaternions,
+    for alpha and beta given as mpmath coefficient lists."""
+    import mpmath
+    norm_sq = mpmath.fsum(x * x for x in beta)
+    beta_inv = [beta[0] / norm_sq] + [-x / norm_sq for x in beta[1:]]
+    o = mpmath.matrix(4, 4)
+    for k in range(4):
+        basis = [mpmath.mpf(0)] * 4
+        basis[k] = mpmath.mpf(1)
+        image = _exact_ham(_exact_ham(alpha, basis), beta_inv)
+        for i in range(4):
+            o[i, k] = image[i]
+    return o
+
+
+def exact_quaternion_rotation_matrix(alpha, beta) -> np.ndarray:
+    """The rotation of the quaternion pair (alpha, beta) on the 4-D model:
+    the sandwich z -> alpha z beta^{-1} of the same float alpha and beta,
+    scaled by |beta|/|alpha|, from a 50-digit computation rounded to floats.
+    The scale is 1 for an exact Thomas pair; separately rounded alpha and
+    beta of a pair near the light cone have norms up to a few 1e-13 apart
+    relatively, and the unscaled sandwich is that far from orthogonal."""
+    import mpmath
+    with mpmath.workdps(EXACT_DIGITS):
+        p, q = _exact(alpha.coeffs), _exact(beta.coeffs)
+        scale = mpmath.sqrt(mpmath.fsum(x * x for x in q) / mpmath.fsum(x * x for x in p))
+        o = _exact_sandwich(p, q) * scale
+        return np.array([[float(o[i, j]) for j in range(4)] for i in range(4)])
+
+
 def exact_quaternion_angle(e1, e2) -> float:
     """Angle of the 4-D Thomas rotation z -> alpha z beta^{-1}, alpha =
     1 + e2 conj(e1) and beta = 1 + conj(e2) e1, from a 50-digit computation
@@ -265,15 +296,7 @@ def exact_quaternion_angle(e1, e2) -> float:
         beta = _exact_ham(conj(q), p)
         alpha[0] += 1
         beta[0] += 1
-        norm_sq = mpmath.fsum(x * x for x in beta)
-        beta_inv = [x / norm_sq for x in conj(beta)]
-        o = mpmath.matrix(4, 4)
-        for k in range(4):
-            basis = [mpmath.mpf(0)] * 4
-            basis[k] = mpmath.mpf(1)
-            image = _exact_ham(_exact_ham(alpha, basis), beta_inv)
-            for i in range(4):
-                o[i, k] = image[i]
+        o = _exact_sandwich(alpha, beta)
         sine = mpmath.sqrt(mpmath.fsum((o[i, j] - o[j, i]) ** 2
                                        for i in range(4) for j in range(4)))
         sine /= 2 * mpmath.sqrt(2)
