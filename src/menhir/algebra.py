@@ -32,11 +32,11 @@ left blade i and an output blade k: `_xor[i, k] = i ^ k` and `_sign[i, k]`,
 the sign of e_i e_(i^k); a product is one gather of b through those rows of
 the tables and one sum over the rows.  From `_SPARSE_DIM` up, where the
 tables would take 10 MB at 2^10 slots and the calculus' vectors and scalar +
-bivector elements fill a few dozen slots, no table exists: b, or each
-stacked right operand in turn, is multiplied over its nonzero slots only and
-one `bincount` adds the terms in the same row order; the terms it leaves out
-are exact zeros, so the values are the gather's up to the sign of a zero
-slot (norms likewise skip zero slots there).
+bivector elements fill a few dozen slots, no table exists: b is multiplied
+over its nonzero slots only and one `bincount` adds the terms in the same row
+order; the terms it leaves out are exact zeros, so the values are the
+gather's up to the sign of a zero slot (norms likewise skip zero slots
+there).  Both operands of a product are 1-D coefficient arrays.
 
 Coefficients are validated once, where they enter: `Algebra.element` (and the
 text parsers, which build their arrays themselves) turns its input into a
@@ -110,7 +110,7 @@ class Algebra:
     `_SPARSE_DIM` slots, and are None from there up."""
 
     __slots__ = ("kind", "n_gen", "dim", "_sign", "_xor", "parity_sign", "prefix", "conj_sign",
-                 "grades", "blade_names", "_models")
+                 "blade_names", "_models")
 
     def __init__(self, kind: str, n_gen: int):
         if kind not in ("real", "complex", "quaternion", "clifford"):
@@ -120,15 +120,15 @@ class Algebra:
         self.kind = kind
         self.n_gen = n_gen
         self.dim = 1 << n_gen
-        self.grades, self.prefix = _blade_vectors(n_gen)
-        self.parity_sign = np.where(self.grades & 1, -1.0, 1.0)
+        grades, self.prefix = _blade_vectors(n_gen)
+        self.parity_sign = np.where(grades & 1, -1.0, 1.0)
         self._sign = self._xor = None
         if self.dim < _SPARSE_DIM:
             masks = np.arange(self.dim, dtype=np.uint16)
             self._xor = masks[:, None] ^ masks
             self._sign = self.parity_sign[self._xor & self.prefix[:, None]]
         # (-1)^(k(k+1)/2): + - - + repeating in the grade
-        self.conj_sign = np.where(np.isin(self.grades % 4, (0, 3)), 1.0, -1.0)
+        self.conj_sign = np.where(np.isin(grades % 4, (0, 3)), 1.0, -1.0)
         self.blade_names = self._names()
         models = {
             "real": {1: [0]},
@@ -202,26 +202,21 @@ class Algebra:
     # -- coefficient-level product ------------------------------------------
 
     def mul_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficients of a b for a 1-D `a`; `b` may stack right operands in
-        its leading axes.  Only the rows of the nonzero coefficients of `a` are
-        used.  The terms are rounded one by one and summed row after row, as a
-        loop over the blades of `a` would, so terms that cancel in exact
-        arithmetic (x y - y x) cancel here too.
+        """Coefficients of a b for 1-D `a` and `b`.  Only the rows of the
+        nonzero coefficients of `a` are used.  The terms are rounded one by
+        one and summed row after row, as a loop over the blades of `a` would,
+        so terms that cancel in exact arithmetic (x y - y x) cancel here too.
 
         On algebras of `_SPARSE_DIM` slots or more, which keep no tables, `b`
-        (each stacked right operand in turn) is multiplied over its nonzero
-        slots only: output k = i ^ j of row i and slot j gets
-        a_i parity_sign[j & prefix[i]] b_j, and one `bincount` adds each
-        output's terms in row order, as the gather's row-wise sum does.  The
-        terms it leaves out are a_i (+-0.0), so for finite operands the two
-        forms differ at most in the sign of a zero slot (the bincount's is
-        +0.0).  Below the threshold the gather of b through the table rows of
-        all 2^n slots is cheaper."""
+        is multiplied over its nonzero slots only: output k = i ^ j of row i
+        and slot j gets a_i parity_sign[j & prefix[i]] b_j, and one
+        `bincount` adds each output's terms in row order, as the gather's
+        row-wise sum does.  The terms it leaves out are a_i (+-0.0), so for
+        finite operands the two forms differ at most in the sign of a zero
+        slot (the bincount's is +0.0).  Below the threshold the gather of b
+        through the table rows of all 2^n slots is cheaper."""
         rows = a.nonzero()[0]
         if self.dim >= _SPARSE_DIM:
-            if b.ndim > 1:  # one stacked right operand at a time
-                out = [self.mul_coeffs(a, row) for row in b.reshape(-1, self.dim)]
-                return np.array(out).reshape(b.shape)
             cols = b.nonzero()[0]
             k = rows[:, None] ^ cols
             terms = self.parity_sign.take(cols & self.prefix.take(rows)[:, None])  # e_i e_j
@@ -231,17 +226,10 @@ class Algebra:
             return np.bincount(k.ravel(), terms.ravel(), self.dim).astype(float, copy=False)
         # take() rather than fancy indexing: fewer microseconds on the small
         # algebras; in place below, so one temporary
-        terms = b.take(self._xor.take(rows, axis=0), axis=-1)
+        terms = b.take(self._xor.take(rows, axis=0))
         terms *= self._sign.take(rows, axis=0)
         terms *= a.take(rows)[:, None]
-        return np.add.reduce(terms, axis=-2)
-
-    def blade_mul(self, masks: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Rows e_m b for each basis blade m in `masks`: output k of row m is
-        b_j signed as e_m e_j, j = m ^ k, a gather of b whose signs come from
-        the per-blade vectors on every algebra, so no table is read."""
-        j = masks[:, None] ^ np.arange(self.dim)
-        return self.parity_sign[j & self.prefix[masks][:, None]] * b[j]
+        return np.add.reduce(terms, axis=0)
 
 
 REAL = Algebra("real", 0)
@@ -397,13 +385,6 @@ class Element:
 
     def scalar_part(self) -> float:
         return float(self.coeffs[0])
-
-    def grade_part(self, k: int) -> "Element":
-        coeffs = np.where(self.algebra.grades == k, self.coeffs, 0.0)
-        return Element(self.algebra, coeffs)
-
-    def is_scalar(self, atol: float = 1e-12) -> bool:
-        return bool(np.abs(self.coeffs[1:]).max(initial=0.0) <= atol)
 
     # -- comparison helpers -----------------------------------------------------
 

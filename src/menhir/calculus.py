@@ -204,7 +204,8 @@ class RotationDescriptor:
     def matrix(self, model_dim: int) -> np.ndarray:
         """Matrix of the sandwich action on the model vector space.
 
-        Three kinds of pair take a closed form, with no basis sandwich:
+        Four kinds of pair take a closed form, with no basis sandwich:
+        - the real line (model 1): rho = alpha/beta gives [[rho]];
         - the complex plane (model 2): rho = alpha/beta = c + s i gives
           [[c, -s], [s, c]];
         - rotor pairs, alpha = beta = s + B with B a simple bivector, as
@@ -216,13 +217,15 @@ class RotationDescriptor:
           right multiplication, orthogonal to rounding.  It is the sandwich
           scaled by |beta|/|alpha|, which is 1 for a Thomas pair; a zero
           alpha or beta raises SingularElementError.
-        Every other pair (the real line, hand-made pairs) is sandwiched:
-        column k is alpha (e_k beta^{-1}), the right factor a gather per
-        basis blade and the left product one stacked `mul_coeffs`.  A column with a
+        Every other pair (hand-made pairs, a model the pair has no closed
+        form for) is sandwiched: column k is alpha (e_k beta^{-1}), two
+        `Element` products per basis vector e_k.  A column with a
         coefficient above 1e-6 outside the model raises ValueError (the pair
         does not preserve the model); a beta with no inverse raises
         SingularElementError."""
         algebra, kind = self.algebra, self.algebra.kind
+        if kind == "real" and model_dim == 1:
+            return self.rho().coeffs.reshape(1, 1)
         if kind == "complex" and model_dim == 2:
             c, s = self.rho().coeffs.tolist()
             return np.array([[c, -s], [s, c]])
@@ -241,8 +244,9 @@ class RotationDescriptor:
             if rotor is not None:
                 return rotor.matrix()
         idx = algebra.model_indices(model_dim)  # raises for a model the algebra lacks
-        right = algebra.blade_mul(idx, self.beta.inverse().coeffs)
-        images = algebra.mul_coeffs(self.alpha.coeffs, right)
+        beta_inv = self.beta.inverse()
+        images = np.array([(self.alpha * (algebra.basis_blade(k) * beta_inv)).coeffs
+                           for k in idx.tolist()])
         off = images.copy()
         off[:, idx] = 0.0
         if np.abs(off).max() > 1e-6:
@@ -262,14 +266,14 @@ class RotationDescriptor:
         every digit near 0 and pi; it raises as `matrix` does for a pair
         that is not invertible or does not preserve the model."""
         kind = self.algebra.kind
+        if model_dim is None:
+            model_dim = self.algebra.default_model_dim()
+        self.algebra.model_indices(model_dim)  # raises for a model the algebra lacks
         if kind == "real":
             return 0.0
         if kind == "complex":
             r = self.rho()
             return math.atan2(r.coeffs[1], r.coeffs[0])
-        if model_dim is None:
-            model_dim = self.algebra.default_model_dim()
-        self.algebra.model_indices(model_dim)  # raises for a model the algebra lacks
         rotor = self._as_rotor()
         if rotor is not None:
             return rotor.angle
@@ -326,14 +330,8 @@ class MoebiusMatrix:
             self.c * other.b + self.d * other.d,
         )
 
-    def apply(self, z: Element, atol: float = 1e-9) -> Element:
-        return moebius_apply(self, z, atol=atol)
-
     def max_diff(self, other: "MoebiusMatrix") -> float:
         return max(p.max_diff(q) for p, q in zip(self.entries, other.entries))
-
-    def allclose(self, other: "MoebiusMatrix", atol: float = 1e-12) -> bool:
-        return self.max_diff(other) <= atol
 
     def __repr__(self):
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"

@@ -320,27 +320,26 @@ def test_sign_rule_of_the_table_free_algebras(n):
 
 @pytest.mark.parametrize("n", range(11))
 def test_stacked_and_blade_products_match_reference(n):
-    # equal up to the sign of a zero slot, which np.array_equal ignores
+    # 1-D products a b and e_m b, the basis-blade products of the sandwich
+    # fallback of RotationDescriptor.matrix; equal up to the sign of a zero
+    # slot, which np.array_equal ignores
     algebra = clifford(n) if n else REAL
     rng = np.random.default_rng(40 + n)
     dim = algebra.dim
     masks = np.unique(np.concatenate(([0, dim - 1], 1 << np.arange(n), rng.integers(0, dim, 4))))
+    blades = [algebra.basis_blade(m).coeffs for m in masks.tolist()]
     for density in (1.0, 0.05):
         a = np.zeros(dim)
         a[rng.choice(dim, size=min(dim, 24), replace=False)] = rng.standard_normal(min(dim, 24))
-        b = np.where(rng.random((2, 3, dim)) < density, rng.standard_normal((2, 3, dim)), 0.0)
-        b[1, 2] = 0.0
-        stacked = algebra.mul_coeffs(a, b)
-        assert stacked.dtype == np.float64 and stacked.shape == b.shape
-        for row, right in zip(stacked.reshape(-1, dim), b.reshape(-1, dim)):
-            assert np.array_equal(row, reference_mul_coeffs(algebra, a, right))
-        rows = algebra.blade_mul(masks, b[0, 0])
-        assert rows.shape == (masks.size, dim)
-        for m, row in zip(masks, rows):
-            blade = np.zeros(dim)
-            blade[m] = 1.0
-            assert np.array_equal(row, reference_mul_coeffs(algebra, blade, b[0, 0]))
-    assert algebra.mul_coeffs(a, np.zeros((0, dim))).shape == (0, dim)
+        rights = np.where(rng.random((3, dim)) < density, rng.standard_normal((3, dim)), 0.0)
+        rights[2] = 0.0
+        for b in rights:
+            product = algebra.mul_coeffs(a, b)
+            assert product.dtype == np.float64 and product.shape == (dim,)
+            assert np.array_equal(product, reference_mul_coeffs(algebra, a, b))
+            for blade in blades:
+                assert np.array_equal(algebra.mul_coeffs(blade, b),
+                                      reference_mul_coeffs(algebra, blade, b))
 
 
 def test_table_free_algebras_hold_small_arrays():
@@ -362,17 +361,14 @@ _SPARSE_COEFF = st.one_of(st.just(0.0), _COEFF)
 @given(st.data())
 def test_mul_coeffs_matches_reference_hypothesis(data):
     # up to 2^8 slots: both sides of algebra._SPARSE_DIM, from where products
-    # are taken over nonzero slots, a stacked right operand row by row
+    # are taken over nonzero slots
     n = data.draw(st.integers(0, 8))
     algebra = clifford(n) if n else REAL
     coeff = data.draw(st.sampled_from([_COEFF, _SPARSE_COEFF]))  # dense or sparse operands
     a, b, c = (np.array(data.draw(st.lists(coeff, min_size=algebra.dim, max_size=algebra.dim)))
                for _ in range(3))
-    assert np.array_equal(algebra.mul_coeffs(a, b), reference_mul_coeffs(algebra, a, b))
-    # stacked right operands: one product per row
-    stacked = algebra.mul_coeffs(a, np.stack([b, c]))
-    assert np.array_equal(stacked[0], algebra.mul_coeffs(a, b))
-    assert np.array_equal(stacked[1], algebra.mul_coeffs(a, c))
+    for right in (b, c):
+        assert np.array_equal(algebra.mul_coeffs(a, right), reference_mul_coeffs(algebra, a, right))
 
 
 def test_mul_coeffs_matches_reference_clifford10():

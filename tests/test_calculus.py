@@ -383,21 +383,44 @@ def test_rotation_matrix_matches_sandwich_reference():
 
 
 def test_closed_form_matrices_need_no_sandwich(monkeypatch):
-    """Complex pairs and rotor pairs (imaginary quaternions, Clifford vectors)
-    get their matrix in closed form, with no basis-blade sandwich."""
-    def no_sandwich(self, masks, b):
+    """Real and complex pairs and rotor pairs (imaginary quaternions, Clifford
+    vectors) get their matrix in closed form, with no basis-blade sandwich."""
+    def no_sandwich(self, mask):
         raise AssertionError("basis sandwich used for a closed-form pair")
 
     rng = np.random.default_rng(32)
-    cases = [(COMPLEX, 2), (QUATERNION, 3), (clifford(2), 2), (clifford(3), 3),
+    cases = [(REAL, 1), (COMPLEX, 2), (QUATERNION, 3), (clifford(2), 2), (clifford(3), 3),
              (clifford(4), 4), (clifford(5), 5), (clifford(10), 10)]
     expected = []
     for algebra, n in cases:
         rot = thomas_rotation(random_menhir(rng, algebra, n), random_menhir(rng, algebra, n))
         expected.append((rot, n, reference_rotation_matrix(rot, n)))
-    monkeypatch.setattr(Algebra, "blade_mul", no_sandwich)
+    monkeypatch.setattr(Algebra, "basis_blade", no_sandwich)
     for rot, n, ref in expected:
         assert np.abs(rot.matrix(n) - ref).max() <= 1e-14
+
+
+def test_sandwich_fallback_matches_reference_on_scaled_pairs():
+    """(q, c q) and (c q, q), with q a Thomas rotor and c in [0.5, 2], are no
+    rotor pairs, yet they preserve the model: their matrices are the rotor's
+    scaled by 1/c and c, built by the basis sandwich alpha (e_k beta^{-1})."""
+    rng = np.random.default_rng(35)
+    cases = [(QUATERNION, 3)] + [(clifford(n), n) for n in (2, 3, 4, 5, 8, 10)]
+    for algebra, n in cases:
+        for _ in range(2 if n >= 8 else 20):
+            q = thomas_rotation(random_menhir(rng, algebra, n),
+                                random_menhir(rng, algebra, n)).alpha
+            c = rng.uniform(0.5, 2.0)
+            for rot in (RotationDescriptor(q, c * q), RotationDescriptor(c * q, q)):
+                assert rot._as_rotor() is None
+                assert np.abs(rot.matrix(n) - reference_rotation_matrix(rot, n)).max() <= 1e-14
+
+
+def test_real_line_matrix_is_rho():
+    rng = np.random.default_rng(36)
+    for _ in range(100):
+        rot = thomas_rotation(random_menhir(rng, REAL, 1), random_menhir(rng, REAL, 1))
+        assert rot.matrix(1).tobytes() == np.array([[rot.rho().scalar_part()]]).tobytes()
 
 
 def test_zero_and_collinear_boosts_rotate_nothing():
@@ -527,6 +550,13 @@ def test_angle_error_types_unchanged():
     rot = thomas_rotation(c3.zero, c3.zero)
     with pytest.raises(UnsupportedDimensionError):
         rot.angle(4)
+    # ... on the complex plane and the real line too, as matrix() does
+    rng = np.random.default_rng(37)
+    for algebra, n, bad in ((COMPLEX, 2, 3), (REAL, 1, 4)):
+        rot = thomas_rotation(random_menhir(rng, algebra, n), random_menhir(rng, algebra, n))
+        for method in (rot.angle, rot.matrix):
+            with pytest.raises(UnsupportedDimensionError):
+                method(bad)
 
 
 def test_non_rotor_angle_is_exact_near_zero():
