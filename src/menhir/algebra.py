@@ -369,7 +369,7 @@ class Element:
             coeffs = coeffs[coeffs.nonzero()]
         return math.hypot(*coeffs.tolist())
 
-    def inverse(self, rtol: float = 1e-10) -> "Element":
+    def inverse(self) -> "Element":
         """x*/(x x*), valid when x x* is a nonzero scalar (division scalars,
         Clifford scalars/vectors, and rationalizable scalar+bivector elements)."""
         conj = self.conjugate()
@@ -377,7 +377,7 @@ class Element:
         s = prod.coeffs[0]
         rest = np.abs(prod.coeffs[1:]).max() if self.algebra.dim > 1 else 0.0
         scale = max(1.0, abs(s))
-        if abs(s) < 1e-300 or rest > rtol * scale:
+        if abs(s) < 1e-300 or rest > 1e-10 * scale:
             raise SingularElementError(f"element is not rationalizable: {self!r}")
         return Element(self.algebra, conj.coeffs / s)
 
@@ -413,18 +413,12 @@ def vector_embed(v, algebra: Algebra) -> Element:
     return Element(algebra, coeffs)
 
 
-def vector_part(x: Element, model_dim: int | None = None, atol: float = 1e-9) -> np.ndarray:
-    """Extract the real vector from an element of the vector model.
+def vector_part(x: Element, model_dim: int, atol: float = 1e-9) -> np.ndarray:
+    """Extract the real vector of the `model_dim`-vector model from an element.
 
     Raises if coefficients outside the model exceed `atol` (the element is not
-    a vector of the requested kind).  For quaternions the model dimension is
-    ambiguous; it defaults to 3 when the scalar part vanishes, else 4.
+    a vector of the requested kind).
     """
-    if model_dim is None:
-        if x.algebra.kind == "quaternion":
-            model_dim = 3 if abs(x.coeffs[0]) <= atol else 4
-        else:
-            model_dim = x.algebra.default_model_dim()
     idx = x.algebra.model_indices(model_dim)
     rest = x.coeffs.copy()
     rest[idx] = 0.0

@@ -187,9 +187,6 @@ class RotationDescriptor:
     def algebra(self):
         return self.alpha.algebra
 
-    def apply(self, z: Element) -> Element:
-        return self.alpha * z * self.beta.inverse()
-
     def _as_rotor(self) -> _Rotor | None:
         """alpha as a rotor when alpha and beta are the same bits, else None."""
         alpha, beta = self.alpha, self.beta
@@ -337,9 +334,9 @@ class MoebiusMatrix:
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
 
 
-def moebius_apply(m: MoebiusMatrix, z: Element, atol: float = 1e-9) -> Element:
+def moebius_apply(m: MoebiusMatrix, z: Element) -> Element:
     """Fractional-linear action of a boost/rotation matrix on a unit sphere point."""
-    if not abs(z.norm() - 1.0) <= atol:
+    if not abs(z.norm() - 1.0) <= 1e-9:
         raise ValueError(f"sphere point must have unit norm, got {z.norm()!r}")
     return (m.a * z + m.b) * (m.c * z + m.d).inverse()
 
@@ -367,7 +364,7 @@ def compose_velocities(v: Element, w: Element):
     return velocity_of(compose_menhirs(ev, ew)), thomas_rotation(ev, ew)
 
 
-def rotation_axis_angle(e1: Element, e2: Element, atol: float = 1e-12):
+def rotation_axis_angle(e1: Element, e2: Element):
     """Axis and angle of the Thomas rotation for purely imaginary quaternion menhirs.
 
     The sandwich element is the rotor q = 1 - e2 e1 = s + B; axis = B / |B|
@@ -376,7 +373,7 @@ def rotation_axis_angle(e1: Element, e2: Element, atol: float = 1e-12):
     `RotationDescriptor.angle` uses.
     """
     for e in (e1, e2):
-        if e.algebra.kind != "quaternion" or abs(e.coeffs[0]) > atol:
+        if e.algebra.kind != "quaternion" or abs(e.coeffs[0]) > 1e-12:
             raise ValueError("menhirs must be purely imaginary quaternions")
     q = 1.0 - e2 * e1
     rotor = _rotor(q)  # None only for q = 0, which no two menhirs give
@@ -398,34 +395,14 @@ def _gap_slope(v: float) -> float:
     return 1.0 - 1.0 / (s * (1.0 + s))
 
 
-def refine_gap_argmax(lo: float = 0.0, hi: float = 1.0) -> float:
-    """Speed maximizing the velocity/menhir discrepancy.
-
-    Golden-section search, polished by a bisection on the derivative sign
-    (golden-section alone stalls near sqrt(machine eps) on the flat maximum).
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = menhir_gap(c), menhir_gap(d)
-    while b - a > 1e-11:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = menhir_gap(c)
+def refine_gap_argmax() -> float:
+    """Speed maximizing the velocity/menhir discrepancy: bisection on the sign
+    of the derivative over (0, 1) until the bracket is two adjacent floats."""
+    lo, hi, mid = 0.0, 1.0, 0.5
+    while lo < mid < hi:
+        if _gap_slope(mid) > 0.0:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = menhir_gap(d)
-    v = 0.5 * (a + b)
-    lo, hi = max(1e-9, v - 1e-6), min(1.0 - 1e-9, v + 1e-6)
-    if _gap_slope(lo) > 0.0 > _gap_slope(hi):
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if _gap_slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        v = 0.5 * (lo + hi)
-    return v
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid

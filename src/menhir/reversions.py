@@ -7,9 +7,13 @@ and p, A, and the image are collinear.  Words of reversions act left to right
 velocity v deforms the celestial sphere exactly like the two-letter word
 (origin, menhir_of(v)).
 
-The planar constructions at the bottom recover the algebraic composition law
-and Thomas angle with chords alone, and are cross-checked against the algebra
-in the test suite.  Points here are plain real vectors, menhirs included.
+The planar constructions at the bottom take plane points as complex numbers
+and compute only with the Moebius matrix [[alpha, e + f], [conj(e + f),
+conj(alpha)]], alpha = 1 + f conj(e), of the word (-e, f) of boosts e then f:
+its fixed points, the rotated point B = A alpha/conj(alpha) and the composite
+menhir (e + f)/alpha of the degenerate cases.  The test suite checks them
+against the algebra layer, which this module does not call.  Other points
+are plain real vectors, menhirs included.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import COMPLEX, vector_embed, vector_part
-from .calculus import SuperluminalError, _check_ball, compose_menhirs, menhir_of, thomas_rotation
+from .calculus import SuperluminalError, _check_ball, menhir_of
 
 __all__ = [
     "ConstructionError",
@@ -179,42 +182,50 @@ def find_conjugate_point(a, b, a_new) -> np.ndarray:
 
 # -- planar constructions ---------------------------------------------------------
 
-def _as_complex(p) -> complex:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
+def _planar_word(e, f) -> tuple[complex, complex, complex]:
+    """Menhirs e and f as complex numbers, checked inside the ball and then
+    planar, with alpha = 1 + f conj(e) of the word's matrix."""
+    e, f = _interior(e, "menhir"), _interior(f, "menhir")
+    if e.shape != (2,) or f.shape != (2,):
         raise ValueError("planar construction requires 2-vectors")
-    return complex(p[0], p[1])
+    ec, fc = complex(*e), complex(*f)
+    return ec, fc, 1.0 + fc * ec.conjugate()
 
 
 def _from_complex(z: complex) -> np.ndarray:
     return np.array([z.real, z.imag])
 
 
-def two_boost_fixed_points(e, f) -> tuple[np.ndarray, np.ndarray]:
-    """The two fixed circle points of the composite of boosts e then f (planar).
+def _collinear_menhirs(ec: complex, fc: complex) -> bool:
+    """Collinear menhirs: the rotation is trivial and the chords do not meet."""
+    return abs(ec.conjugate() * fc - fc.conjugate() * ec) <= 1e-14
 
-    The word (-e, f) is the Moebius map M(f) M(-e) = [[a, b], [c, d]], with
-    M(w) = [[1, -w], [conj w, -1]] for the reversion z -> (z - w)/(conj(w) z - 1).
-    Its fixed points are the roots of c z^2 + (d - a) z - b = 0, taken without
-    cancellation as q/c and -b/q with q = -(p + sqrt(D))/2, p = d - a and
-    D = p^2 + 4 b c.  Here c = conj(b) and d = conj(a), so p = -2i Im(a) is
-    imaginary while D = 4(|b|^2 - Im(a)^2) is real: p and sqrt(D) are
-    orthogonal and the + sign never cancels.  The points are returned sorted
-    by angle in [0, 2 pi).  A product of two boosts in the plane is hyperbolic
-    (D > 0, two fixed points on the circle) unless the boosts cancel, e = -f,
-    when it is the identity and ConstructionError is raised.
-    """
-    ec = _as_complex(_interior(e, "menhir"))
-    fc = _as_complex(_interior(f, "menhir"))
-    a, b = 1.0 + fc * ec.conjugate(), ec + fc
-    c, d = b.conjugate(), 1.0 + fc.conjugate() * ec
+
+def _fixed_points(a: complex, b: complex) -> list[complex]:
+    c, d = b.conjugate(), a.conjugate()
     p = d - a
     disc = p * p + 4.0 * b * c
     if not disc.real > 0.0:
         raise ConstructionError("the boosts cancel: every circle point is fixed")
     q = -0.5 * (p + cmath.sqrt(disc))
-    fixed = sorted((q / c, -b / q), key=lambda z: cmath.phase(z) % (2.0 * math.pi))
-    return tuple(_from_complex(z) for z in fixed)
+    return sorted((q / c, -b / q), key=lambda z: cmath.phase(z) % (2.0 * math.pi))
+
+
+def two_boost_fixed_points(e, f) -> tuple[np.ndarray, np.ndarray]:
+    """The two fixed circle points of the composite of boosts e then f (planar).
+
+    With M(w) = [[1, -w], [conj w, -1]] for the reversion
+    z -> (z - w)/(conj(w) z - 1), the word's matrix M(f) M(-e) = [[a, b], [c, d]]
+    has c = conj(b) and d = conj(a).  Its fixed points are the roots of
+    c z^2 + (d - a) z - b = 0, taken without cancellation as q/c and -b/q with
+    q = -(p + sqrt(D))/2, p = d - a and D = p^2 + 4 b c: p = -2i Im(a) is
+    imaginary and D = 4(|b|^2 - Im(a)^2) is real, so the + sign never cancels.
+    They are returned sorted by angle in [0, 2 pi).  Two planar boosts make a
+    hyperbolic map (D > 0, two fixed circle points) unless they cancel,
+    e = -f: that identity raises ConstructionError.
+    """
+    ec, fc, alpha = _planar_word(e, f)
+    return tuple(_from_complex(z) for z in _fixed_points(alpha, ec + fc))
 
 
 @dataclass
@@ -236,51 +247,48 @@ class ConstructionTrace:
 def construct_rotation(e, f, trace: ConstructionTrace | None = None):
     """Planar pair (A, B) realized by the rotational part of boosts e then f.
 
-    A is a fixed point of the two-boost map and B its image under the
-    rotational factor; the signed central angle from A to B is the Thomas
-    angle.  Collinear menhirs give a trivial rotation with A = B.
+    A is the first fixed point of the two-boost map and B = A alpha/conj(alpha)
+    its image under the rotational factor of the word's matrix, with
+    alpha = 1 + f conj(e); the signed central angle from A to B is the Thomas
+    angle.  Collinear menhirs give a trivial rotation with A = B, the
+    direction of the composite menhir (e + f)/alpha.
     """
-    e = _interior(np.asarray(e, dtype=float), "menhir")
-    f = _interior(np.asarray(f, dtype=float), "menhir")
-    ec, fc = _as_complex(e), _as_complex(f)
-    ce, cf = vector_embed(e, COMPLEX), vector_embed(f, COMPLEX)
-    if abs(ec.conjugate() * fc - fc.conjugate() * ec) <= 1e-14:  # collinear
-        m = _as_complex(vector_part(compose_menhirs(ce, cf), 2))
+    ec, fc, alpha = _planar_word(e, f)
+    if _collinear_menhirs(ec, fc):
+        m = (ec + fc) / alpha
         ref = m if abs(m) > 1e-14 else (ec if abs(ec) > 1e-14 else 1.0 + 0j)
         a = _from_complex(ref / abs(ref))
         if trace is not None:
             trace.point("A", a)
             trace.point("B", a)
         return a, a.copy(), 0.0
-    fixed1, fixed2 = two_boost_fixed_points(e, f)
-    a = fixed1
-    b = vector_part(thomas_rotation(ce, cf).apply(vector_embed(a, COMPLEX)), 2)
-    angle = math.atan2(a[0] * b[1] - a[1] * b[0], float(a @ b))
+    fixed1, fixed2 = _fixed_points(alpha, ec + fc)
+    rotated = fixed1 * alpha / alpha.conjugate()
+    a, b = _from_complex(fixed1), _from_complex(rotated)
     if trace is not None:
-        trace.point("F1", fixed1)
-        trace.point("F2", fixed2)
+        trace.point("F1", a)
+        trace.point("F2", _from_complex(fixed2))
         trace.point("A", a)
         trace.point("B", b)
         trace.segment("AoB", a, b)
-    return a, b, angle
+    return a, b, cmath.phase(fixed1.conjugate() * rotated)
 
 
 def construct_composite_menhir(e, f, trace: ConstructionTrace | None = None) -> np.ndarray:
     """Composite menhir by straightedge: meet of the chords (B foe, A) and (B' foe, A').
 
-    B is the rotated image of A, primes are antipodes, and `foe` is the word
-    (f, origin, e).  Degenerate (collinear) configurations fall back to the
-    algebraic value with a DegenerateConstructionWarning.
+    B is the rotated image of A from `construct_rotation`, primes are
+    antipodes, and `foe` is the word (f, origin, e).  Degenerate (collinear)
+    configurations fall back to the composite menhir of the word's matrix,
+    (e + f)/(1 + f conj(e)), with a DegenerateConstructionWarning.
     """
-    e = _interior(np.asarray(e, dtype=float), "menhir")
-    f = _interior(np.asarray(f, dtype=float), "menhir")
-    ec, fc = _as_complex(e), _as_complex(f)
+    ec, fc, alpha = _planar_word(e, f)
 
     def fallback(reason):
         warnings.warn(DegenerateConstructionWarning(reason), stacklevel=2)
-        return vector_part(compose_menhirs(vector_embed(e, COMPLEX), vector_embed(f, COMPLEX)), 2)
+        return _from_complex((ec + fc) / alpha)
 
-    if abs(ec.conjugate() * fc - fc.conjugate() * ec) <= 1e-14:
+    if _collinear_menhirs(ec, fc):
         return fallback("collinear menhirs")
 
     a, b, _ = construct_rotation(e, f, trace)

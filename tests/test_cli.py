@@ -133,21 +133,13 @@ def test_compose_deterministic(runner):
     assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
-def _reference_products(algebra, a, b):
-    """`Algebra.mul_coeffs` by the blade-by-blade loop, row by row for a
-    stacked `b`."""
-    if b.ndim == 1:
-        return reference_mul_coeffs(algebra, a, b)
-    return np.array([reference_mul_coeffs(algebra, a, row) for row in b])
-
-
 def _reference_compose_json(tag, v_text, w_text, model_dim):
     """The compose JSON rebuilt with the Thomas pair as two products, every
     product by the blade-by-blade loop, every norm by `math.hypot` of all
     slots and every element through `reference_format_element`, so that a
     fault in the product kernel or the norm cannot move the reference."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Algebra, "mul_coeffs", _reference_products)
+        patch.setattr(Algebra, "mul_coeffs", reference_mul_coeffs)
         patch.setattr(Element, "norm", lambda x: math.hypot(*x.coeffs.tolist()))
         algebra = parse_algebra_tag(tag)
         ev = menhir_of(parse_element(v_text, algebra))

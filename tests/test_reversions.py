@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from menhir.algebra import COMPLEX, vector_embed, vector_part
+from menhir.algebra import COMPLEX, Algebra, vector_embed, vector_part
 from menhir.calculus import (
     MoebiusMatrix,
     SuperluminalError,
@@ -313,6 +313,30 @@ def test_construct_rotation_collinear_is_trivial():
     a, b, angle = construct_rotation(e, e * 0.4)
     assert angle == 0.0
     assert np.array_equal(a, b)
+
+
+def test_constructions_do_not_use_the_algebra_layer(monkeypatch):
+    # the planar wing runs on the word's own complex arithmetic, so it stays
+    # an independent check on the algebra even when no product can be formed
+    def no_products(*args):
+        raise AssertionError("planar construction used an algebra product")
+
+    monkeypatch.setattr(Algebra, "mul_coeffs", no_products)
+    e, f = np.array([0.5, 0.0]), np.array([0.0, 1 / 3])
+    for z in two_boost_fixed_points(e, f):
+        assert np.abs(apply_word(z, two_boost_word(e, f)) - z).max() <= 1e-12
+    trace = ConstructionTrace()
+    _, _, angle = construct_rotation(e, f, trace)
+    assert abs(angle - math.acos(35 / 37)) <= 1e-12
+    m = construct_composite_menhir(e, f, trace)
+    assert np.abs(m - [20 / 37, 9 / 37]).max() <= 1e-12
+    assert {"F1", "F2", "A", "B", "e[+]f"} <= {label for label, _ in trace.points}
+    # collinear menhirs: trivial rotation, composite (e + f)/(1 + f conj e)
+    g = np.array([0.25, 0.0])
+    assert construct_rotation(e, g)[2] == 0.0
+    with pytest.warns(DegenerateConstructionWarning, match="collinear"):
+        m = construct_composite_menhir(e, g)
+    assert np.abs(m - [2 / 3, 0.0]).max() <= 1e-12
 
 
 def test_construct_composite_menhir_worked_example():
