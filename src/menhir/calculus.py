@@ -254,24 +254,24 @@ class RotationDescriptor:
         """Rotation angle: signed in the plane for the complex model, else the
         unsigned principal angle (two-boost rotations are simple rotations).
 
-        When the pair is a rotor, alpha = beta = s + B with B a simple
-        bivector (any imaginary quaternion is one), as `thomas_rotation`
-        builds for Clifford vectors and imaginary quaternions, the angle is
-        the closed form 2 atan2(|B|, |s|), with no matrix and no algebra
-        product.  Any other pair goes through `matrix` O, read as
-        atan2(|O - O^T|_F / (2 sqrt 2), (tr O - (n - 2)) / 2), which keeps
-        every digit near 0 and pi; it raises as `matrix` does for a pair
-        that is not invertible or does not preserve the model."""
+        A rotor pair, alpha = beta = s + B with B a simple bivector as
+        `thomas_rotation` builds for Clifford vectors and imaginary
+        quaternions, has the closed form 2 atan2(|B|, |s|) and needs no
+        matrix.  Any other pair reads `matrix` O as atan2(|O - O^T|_F /
+        (2 sqrt 2), (tr O - (n - 2)) / 2), which keeps every digit near 0 and
+        pi, and raises as `matrix` does.  Without `model_dim`, a quaternion
+        pair that is no rotor (a velocity had a real part) takes the 4-D
+        model, any other the algebra's default."""
         kind = self.algebra.kind
+        rotor = None if kind in ("real", "complex") else self._as_rotor()
         if model_dim is None:
-            model_dim = self.algebra.default_model_dim()
+            model_dim = 4 if kind == "quaternion" and rotor is None else self.algebra.default_model_dim()
         self.algebra.model_indices(model_dim)  # raises for a model the algebra lacks
         if kind == "real":
             return 0.0
         if kind == "complex":
             r = self.rho()
             return math.atan2(r.coeffs[1], r.coeffs[0])
-        rotor = self._as_rotor()
         if rotor is not None:
             return rotor.angle
         o = self.matrix(model_dim)
@@ -367,19 +367,19 @@ def compose_velocities(v: Element, w: Element):
 def rotation_axis_angle(e1: Element, e2: Element):
     """Axis and angle of the Thomas rotation for purely imaginary quaternion menhirs.
 
-    The sandwich element is the rotor q = 1 - e2 e1 = s + B; axis = B / |B|
-    (None when the rotation is trivial, |B| <= 1e-14 |s|), angle =
-    2 atan2(|B|, |s|) in [0, pi), the closed form that
-    `RotationDescriptor.angle` uses.
+    `thomas_rotation(e1, e2)` must give a quaternion rotor pair (`beta is
+    alpha`), else ValueError: a real part rules it out.  Its element is the
+    rotor q = 1 - e2 e1 = s + B; axis = B / |B| (None when the rotation is
+    trivial, |B| <= 1e-14 |s|), angle = 2 atan2(|B|, |s|) in [0, pi), the
+    closed form that `RotationDescriptor.angle` uses.
     """
-    for e in (e1, e2):
-        if e.algebra.kind != "quaternion" or abs(e.coeffs[0]) > 1e-12:
-            raise ValueError("menhirs must be purely imaginary quaternions")
-    q = 1.0 - e2 * e1
-    rotor = _rotor(q)  # None only for q = 0, which no two menhirs give
+    rotation = thomas_rotation(e1, e2)
+    if rotation.algebra.kind != "quaternion" or rotation.beta is not rotation.alpha:
+        raise ValueError("menhirs must be purely imaginary quaternions")
+    rotor = _rotor(rotation.alpha)  # None only for q = 0, which no two menhirs give
     if rotor is None or rotor.norm_b <= 1e-14 * abs(rotor.s):
         return None, 0.0
-    return q.coeffs[1:] / rotor.norm_b, rotor.angle
+    return rotation.alpha.coeffs[1:] / rotor.norm_b, rotor.angle
 
 
 # -- menhir/velocity discrepancy ------------------------------------------------

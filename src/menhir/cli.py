@@ -113,17 +113,10 @@ def compose(tag, v_text, w_text, fmt):
     composite_velocity, speed, rotation, angle_rad.
     """
     algebra = parse_algebra_tag(tag)
-    v = _parse_velocity(v_text, algebra)
-    w = _parse_velocity(w_text, algebra)
-    ev, ew = menhir_of(v), menhir_of(w)
+    ev, ew = (menhir_of(_parse_velocity(text, algebra)) for text in (v_text, w_text))
     composite = compose_menhirs(ev, ew)
     u = velocity_of(composite)
     rotation = thomas_rotation(ev, ew)
-    if algebra.kind == "quaternion":
-        pure = abs(v.coeffs[0]) < 1e-12 and abs(w.coeffs[0]) < 1e-12
-        model_dim = 3 if pure else 4
-    else:
-        model_dim = algebra.default_model_dim()
     payload = {
         "menhir_v": format_element(ev),
         "menhir_w": format_element(ew),
@@ -131,7 +124,7 @@ def compose(tag, v_text, w_text, fmt):
         "composite_velocity": format_element(u),
         "speed": u.norm(),
         "rotation": _rotation_payload(rotation),
-        "angle_rad": rotation.angle(model_dim),
+        "angle_rad": rotation.angle(),
     }
     if fmt == "json":
         click.echo(json.dumps(payload, indent=2))

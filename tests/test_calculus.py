@@ -585,6 +585,19 @@ def test_non_rotor_angle_is_exact_near_zero():
             assert abs(rot.angle(4) - exact) <= 1e-15
 
 
+def test_angle_picks_the_model_of_the_pair():
+    # a velocity with a real part leaves alpha != beta, and only the 4-D
+    # model holds such a pair; imaginary velocities give a rotor on the 3-D one
+    rng = np.random.default_rng(38)
+    for _ in range(50):
+        rot = thomas_rotation(random_menhir(rng, QUATERNION, 4), random_menhir(rng, QUATERNION, 4))
+        assert rot.beta is not rot.alpha
+        assert rot.angle() == rot.angle(4)
+        rot = thomas_rotation(random_menhir(rng, QUATERNION, 3), random_menhir(rng, QUATERNION, 3))
+        assert rot.beta is rot.alpha
+        assert rot.angle() == rot.angle(3)
+
+
 def test_collinear_real_menhirs_match_scalar_formula():
     rng = np.random.default_rng(21)
     for _ in range(100):
@@ -615,8 +628,24 @@ def test_rotation_axis_angle():
 
     with pytest.raises(ValueError):
         rotation_axis_angle(QUATERNION.element([0.1, 0.5, 0, 0]), e2)
+    # any real part leaves no rotor pair, however small
+    with pytest.raises(ValueError):
+        rotation_axis_angle(QUATERNION.element([1e-13, 0.5, 0, 0]), e2)
     with pytest.raises(ValueError):
         rotation_axis_angle(COMPLEX.element([0.1, 0.2]), COMPLEX.element([0.1, 0.2]))
+
+
+def test_rotation_axis_angle_reads_the_thomas_pair():
+    # the rotor of `thomas_rotation` is bitwise 1 - e2 e1, so axis and angle
+    # are bitwise those of that product read on its own
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        e1, e2 = random_menhir(rng, QUATERNION, 3), random_menhir(rng, QUATERNION, 3)
+        q = (1.0 - e2 * e1).coeffs
+        norm_b = math.hypot(*q[1:].tolist())
+        axis, angle = rotation_axis_angle(e1, e2)
+        assert np.array_equal(axis, q[1:] / norm_b)
+        assert angle == 2.0 * math.atan2(norm_b, abs(q[0]))
 
 
 def test_superluminal_guards():

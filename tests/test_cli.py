@@ -178,7 +178,7 @@ def _compose_cases():
     # clifford8 on either side of algebra._SPARSE_DIM
     cases = [("complex", "4/5", "3i/5", 2), ("quaternion", "0.5i", "0.5j", 3),
              ("clifford4", "[0.5,0,0,0]", "[0,0.5,0,0]", 4), ("real", "1/2", "-1/3", 1),
-             ("quaternion", "0.1+0.5i", "0.5j-0.2k", 4)]
+             ("quaternion", "0.1+0.5i", "0.5j-0.2k", 4), ("quaternion", "1e-13+0.5i", "0.3j", 4)]
     rng = np.random.default_rng(88)
     for tag, n in (("real", 1), ("complex", 2), ("quaternion", 3), ("clifford3", 3),
                    ("clifford5", 5), ("clifford10", 10), ("clifford6", 6), ("clifford8", 8)):
@@ -193,6 +193,18 @@ def test_compose_bytes_match_the_reference(runner, tag, v_text, w_text, model_di
     result = runner.invoke(main, ["compose", "-a", tag, "-v", v_text, "-w", w_text])
     assert result.exit_code == 0, result.output
     assert result.output == _reference_compose_json(tag, v_text, w_text, model_dim)
+
+
+def test_compose_takes_the_model_of_the_pair(runner, monkeypatch):
+    # a real part of 1e-13 makes a 4-D quaternion pair: its angle comes from
+    # the closed-form 4-D matrix, and no basis sandwich runs
+    def no_sandwich(self, mask):
+        raise AssertionError("compose reached the basis sandwich")
+
+    monkeypatch.setattr(Algebra, "basis_blade", no_sandwich)
+    result = runner.invoke(main, ["compose", "-a", "quaternion", "-v", "1e-13+0.5i", "-w", "0.3j"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["angle_rad"] == 0.08223331986751782
 
 
 def test_aberrate(runner, tmp_path):
@@ -490,6 +502,16 @@ def test_starfield_two_boost_overlay_warnings(runner, monkeypatch):
     monkeypatch.setattr("menhir.cli.construct_composite_menhir", partial)
     lines, texts = _warnings_and_svg(
         runner.invoke(main, ["starfield", "-v", "1/2", "--w", "i/3", "--count", "8"])
+    )
+    assert lines == ["warning: construction overlay incomplete (parallel chords)"]
+    assert "A" in texts and "e[+]f" not in texts
+
+
+def test_starfield_small_second_boost_falls_back(runner):
+    # chords that cross at a sine of at most 1e-6 give no meet: the overlay
+    # keeps what was drawn, warns once, and leaves out the composite menhir
+    lines, texts = _warnings_and_svg(
+        runner.invoke(main, ["starfield", "-v", "[0.1,0.7]", "--w", "[1e-6,2e-6]"])
     )
     assert lines == ["warning: construction overlay incomplete (parallel chords)"]
     assert "A" in texts and "e[+]f" not in texts

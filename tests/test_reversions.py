@@ -71,6 +71,20 @@ def test_revert_involution_and_collinearity():
         assert collinear([p, a, image], atol=1e-12)
 
 
+def test_revert_one_expression_for_a_point_and_a_batch():
+    # one expression serves a single point and a batch; each result is
+    # bitwise the direct formula for its shape
+    rng = np.random.default_rng(44)
+    for n in (2, 3, 5):
+        stars = np.array([unit_vector(rng, n) for _ in range(20)])
+        p = ball_vector(rng, n)
+        d = p - stars
+        t = 2.0 * (1.0 - stars @ p) / np.sum(d * d, axis=-1)
+        assert np.array_equal(revert(stars, p), stars + np.expand_dims(t, -1) * d)
+        a, d = stars[0], p - stars[0]
+        assert np.array_equal(revert(a, p), a + 2.0 * (1.0 - a @ p) / np.sum(d * d) * d)
+
+
 def test_revert_rejects_bad_input():
     with pytest.raises(ValueError):
         revert(np.array([0.5, 0.0]), np.zeros(2))
@@ -369,7 +383,7 @@ def test_construct_composite_menhir_random():
 def test_second_chord_must_pair_with_the_antipode():
     # the meet needs the antipodal pair (A', B'); pairing B' foe with A
     # instead of A' does not reproduce the composition law
-    from menhir.reversions import _line_intersection
+    from menhir.reversions import _chord_meet
 
     e = np.array([0.5, 0.0])
     f = np.array([0.0, 1 / 3])
@@ -377,13 +391,49 @@ def test_second_chord_must_pair_with_the_antipode():
     word = [f, np.zeros(2), e]
     x = apply_word(b, word)
     x2 = apply_word(-b, word)
-    correct, _ = _line_intersection(x, a - x, x2, -a - x2)
-    printed, _ = _line_intersection(x, a - x, x2, a - x2)
+    correct, _ = _chord_meet(x, a - x, x2, -a - x2)
+    printed, _ = _chord_meet(x, a - x, x2, a - x2)
     algebraic = compose_menhirs(
         COMPLEX.element(e), COMPLEX.element(f)
     ).coeffs
     assert np.abs(correct - algebraic).max() <= 1e-9
     assert np.abs(printed - algebraic).max() > 1e-3
+
+
+def test_chord_meet_closed_form():
+    from menhir.reversions import _chord_meet
+
+    # the diagonals of the square (0,0), (2,0), (2,2), (0,2) cross at (1,1),
+    # at a right angle
+    meet, sine = _chord_meet(np.zeros(2), np.array([2.0, 2.0]),
+                             np.array([2.0, 0.0]), np.array([-2.0, 2.0]))
+    assert np.array_equal(meet, [1.0, 1.0]) and abs(sine - 1.0) <= 1e-15
+    # parallel lines and a zero direction have no meet
+    for d2 in (np.array([3.0, 0.0]), np.zeros(2)):
+        assert _chord_meet(np.zeros(2), np.array([1.0, 0.0]), np.ones(2), d2) == (None, 0.0)
+
+
+def test_small_boost_construction_is_accurate_or_warns():
+    """With one boost small the two chords cross at a small angle, and the
+    meet loses digits as 1/sine.  The construction returns the meet only when
+    the sine clears `MIN_CHORD_SINE`; every other call warns and returns the
+    algebraic composite."""
+    rng = np.random.default_rng(45)
+    worst = 0.0
+    for speed in (1e-4, 1e-5, 1e-6):
+        for _ in range(300):
+            e = menhir_of(ball_vector(rng, 2, 0.1, 0.9))
+            f = menhir_of(unit_vector(rng, 2) * speed)
+            algebraic = compose_menhirs(COMPLEX.element(e), COMPLEX.element(f)).coeffs
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DegenerateConstructionWarning)
+                try:
+                    geometric = construct_composite_menhir(e, f)
+                except DegenerateConstructionWarning as exc:
+                    assert exc.reason == "parallel chords"
+                    continue
+            worst = max(worst, float(np.abs(geometric - algebraic).max()))
+    assert worst <= 1e-9
 
 
 def test_construction_trace_is_populated():
