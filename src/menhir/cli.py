@@ -2,8 +2,9 @@
 cromlech diagrams, run the oracle verification suite, and scan the
 velocity/menhir discrepancy.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 superluminal input,
-4 I/O error, 5 unsupported rendering dimension.
+Exit codes: 0 ok, 1 verification failure (a failed `verify` trial, or a
+`compose` composite off its velocity model by more than rounding), 2 parse
+error, 3 superluminal input, 4 I/O error, 5 unsupported rendering dimension.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from itertools import compress
 import click
 import numpy as np
 
-from .algebra import QUATERNION, UnsupportedDimensionError, algebra_for_dimension, vector_part
+from .algebra import (QUATERNION, Element, UnsupportedDimensionError, algebra_for_dimension,
+                      vector_embed, vector_part)
 from .calculus import (
     SuperluminalError,
     _check_ball,
@@ -45,11 +47,23 @@ from .svgplot import render_starfield
 from .verify import CONFIGS, aberration_spread, run_equivalence, trial_tolerance
 
 
+#: largest coefficient off the velocity model that a composite may carry as
+#: rounding residue; the composition law sends two vectors to a vector exactly
+RESIDUE_BOUND = 1e-12
+
+
+class OffModelError(ArithmeticError):
+    """A composite leaves the velocity model by more than rounding."""
+
+
 def _exit_codes(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except OffModelError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
         except (ElementParseError, UnsupportedDimensionError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -89,6 +103,19 @@ def _parse_velocity(text: str, algebra):
     return x
 
 
+def _on_model(x: Element, what: str) -> Element:
+    """x on the algebra's default vector model, its model slots bit for bit.
+    The part it leaves out must be rounding residue, at most RESIDUE_BOUND,
+    else OffModelError."""
+    algebra = x.algebra
+    n = algebra.default_model_dim()
+    try:
+        return vector_embed(vector_part(x, n, atol=RESIDUE_BOUND), algebra)
+    except ValueError:
+        raise OffModelError(f"{what} is off the {n}-vector model by more than "
+                            f"the rounding bound {RESIDUE_BOUND!r}") from None
+
+
 def _rotation_payload(descriptor):
     if descriptor.algebra.kind in ("real", "complex"):
         return format_element(descriptor.rho())
@@ -111,12 +138,21 @@ def compose(tag, v_text, w_text, fmt):
 
     JSON schema v1 keys: menhir_v, menhir_w, composite_menhir,
     composite_velocity, speed, rotation, angle_rad.
+
+    When the Thomas pair is a rotor pair (Clifford vectors, imaginary
+    quaternions), the composite menhir and velocity print on the velocity
+    model: the rounding residue off it (at most 1e-12, else exit 1) is
+    dropped, every model slot keeps its bits, and the composite velocity
+    reads back as a velocity.  `speed` is the norm of the printed velocity.
     """
     algebra = parse_algebra_tag(tag)
     ev, ew = (menhir_of(_parse_velocity(text, algebra)) for text in (v_text, w_text))
     composite = compose_menhirs(ev, ew)
     u = velocity_of(composite)
     rotation = thomas_rotation(ev, ew)
+    if rotation.beta is rotation.alpha:
+        composite = _on_model(composite, "composite menhir")
+        u = _on_model(u, "composite velocity")
     payload = {
         "menhir_v": format_element(ev),
         "menhir_w": format_element(ew),

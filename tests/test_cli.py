@@ -133,11 +133,34 @@ def test_compose_deterministic(runner):
     assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+def _model_mask(algebra, model_dim):
+    """Slots of the model_dim-vector model, listed blade by blade: the grade-1
+    blades of a Clifford algebra, i j k of the imaginary quaternions, every
+    slot of the other models."""
+    if algebra.kind == "clifford":
+        return np.array([bin(k).count("1") == 1 for k in range(algebra.dim)])
+    if algebra.kind == "quaternion" and model_dim == 3:
+        return np.array([False, True, True, True])
+    return np.ones(algebra.dim, dtype=bool)
+
+
+def _on_mask(x, mask):
+    """x with the slots outside mask dropped; each dropped slot must be
+    rounding residue, and each kept slot keeps its bits."""
+    assert np.abs(x.coeffs[~mask]).max(initial=0.0) <= 1e-15, x
+    kept = np.zeros(x.coeffs.size)
+    for k in np.flatnonzero(mask).tolist():
+        kept[k] = x.coeffs[k]
+    assert kept[mask].tobytes() == x.coeffs[mask].tobytes()
+    return Element(x.algebra, kept)
+
+
 def _reference_compose_json(tag, v_text, w_text, model_dim):
     """The compose JSON rebuilt with the Thomas pair as two products, every
     product by the blade-by-blade loop, every norm by `math.hypot` of all
     slots and every element through `reference_format_element`, so that a
-    fault in the product kernel or the norm cannot move the reference."""
+    fault in the product kernel or the norm cannot move the reference.  The
+    composite menhir and velocity print on the slots of the model_dim model."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Algebra, "mul_coeffs", reference_mul_coeffs)
         patch.setattr(Element, "norm", lambda x: math.hypot(*x.coeffs.tolist()))
@@ -146,6 +169,8 @@ def _reference_compose_json(tag, v_text, w_text, model_dim):
         ew = menhir_of(parse_element(w_text, algebra))
         composite = compose_menhirs(ev, ew)
         u = velocity_of(composite)
+        mask = _model_mask(algebra, model_dim)
+        composite, u = _on_mask(composite, mask), _on_mask(u, mask)
         rotation = RotationDescriptor(1.0 + ew * ev.conjugate(), 1.0 + ew.conjugate() * ev)
         if algebra.kind in ("real", "complex"):
             rotation_text = reference_format_element(rotation.rho())
@@ -193,6 +218,58 @@ def test_compose_bytes_match_the_reference(runner, tag, v_text, w_text, model_di
     result = runner.invoke(main, ["compose", "-a", tag, "-v", v_text, "-w", w_text])
     assert result.exit_code == 0, result.output
     assert result.output == _reference_compose_json(tag, v_text, w_text, model_dim)
+
+
+def _off_model_slots(text, algebra):
+    x = parse_element(text, algebra)
+    return np.count_nonzero(np.delete(x.coeffs, algebra.model_indices(algebra.default_model_dim())))
+
+
+@pytest.mark.parametrize("tag,n", [("real", 1), ("complex", 2), ("quaternion", 3)]
+                         + [(f"clifford{n}", n) for n in (2, 3, 4, 5, 6, 8, 10)])
+def test_compose_composite_reads_back_as_a_velocity(runner, tag, n):
+    # seeded pairs of the benchmark's speeds, then pairs with |v| within 1e-6
+    # to 1e-9 of the light cone (w stays normal, so the composite is still
+    # below the 1 - 1e-12 that an input must be)
+    algebra = parse_algebra_tag(tag)
+    rng = np.random.default_rng([14, n, len(tag)])
+    pairs = [(ball_vector(rng, n, 0.0, 0.95), ball_vector(rng, n, 0.0, 0.95)) for _ in range(8)]
+    pairs += [(ball_vector(rng, n, 1 - 1e-6, 1 - 1e-9), ball_vector(rng, n, 0.0, 0.95)) for _ in range(4)]
+    for v, w in pairs:
+        w_text = _velocity_text(tag, w.tolist())
+        args = ["compose", "-a", tag, "-v", _velocity_text(tag, v.tolist()), "-w", w_text]
+        for _ in range(2):  # the request, then its composite velocity fed back as -v
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (args, result.output)
+            payload = json.loads(result.output)
+            for key in ("composite_menhir", "composite_velocity"):
+                assert _off_model_slots(payload[key], algebra) == 0, (args, payload[key])
+            if tag == "quaternion" or algebra.kind == "clifford":
+                # imaginary inputs again: the pair stays a rotor pair
+                assert payload["rotation"]["beta"] == payload["rotation"]["alpha"], args
+            args = ["compose", "-a", tag, "-v", payload["composite_velocity"], "-w", w_text]
+
+
+def test_compose_off_model_composite_is_one_clean_error(runner, monkeypatch):
+    # a scalar part of 1e-6 leaves the vector model by far more than rounding:
+    # exit 1, one error line and no output; 5e-13 is rounding and is dropped
+    def skewed(scalar):
+        return lambda e1, e2: compose_menhirs(e1, e2) + scalar
+
+    cases = (("clifford3", "[0.1,0.2,0.3]", "[0.3,-0.2,0.1]"), ("quaternion", "0.5i", "0.5j"))
+    for tag, v_text, w_text in cases:
+        args = ["compose", "-a", tag, "-v", v_text, "-w", w_text]
+        monkeypatch.setattr("menhir.cli.compose_menhirs", skewed(1e-6))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, (tag, result.output)
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: composite menhir is off the"), lines
+        monkeypatch.setattr("menhir.cli.compose_menhirs", skewed(5e-13))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (tag, result.output)
+        monkeypatch.undo()
+        assert result.output == runner.invoke(main, args).output
 
 
 def test_compose_takes_the_model_of_the_pair(runner, monkeypatch):
