@@ -36,7 +36,7 @@ e2 = menhir_of(vector_embed(w, algebra))
 # The rotation factor is a scalar plus a bivector:
 rot = thomas_rotation(e1, e2)
 print("rotation element 1 - e2 e1:", rot.alpha)
-print("rotation angle:", rot.angle(n))
+print("rotation angle:", rot.angle())
 
 # Master equation, checked entrywise: M(e2) M(e1) = R(1 - e2 e1) M(e1 [+] e2).
 lhs = MoebiusMatrix.boost(e2) @ MoebiusMatrix.boost(e1)

@@ -173,8 +173,7 @@ class RotationDescriptor:
     collapses to multiplication by the unit number rho = alpha/beta; over
     imaginary quaternions and Clifford vectors alpha = beta and the action is
     the familiar conjugation sandwich.  `thomas_rotation` then passes one
-    element as both, so `beta is alpha` marks a rotor pair without comparing
-    coefficients; two elements with the same bits count as one too.
+    element as both, and that is what marks a rotor pair: `beta is alpha`.
     """
 
     __slots__ = ("alpha", "beta")
@@ -188,11 +187,9 @@ class RotationDescriptor:
         return self.alpha.algebra
 
     def _as_rotor(self) -> _Rotor | None:
-        """alpha as a rotor when alpha and beta are the same bits, else None."""
-        alpha, beta = self.alpha, self.beta
-        if beta is not alpha and alpha.coeffs.tobytes() != beta.coeffs.tobytes():
-            return None
-        return _rotor(alpha)
+        """alpha as a rotor when the pair is one element passed twice (`beta
+        is alpha`), else None; two elements with equal bits are two."""
+        return _rotor(self.alpha) if self.beta is self.alpha else None
 
     def rho(self) -> Element:
         """alpha / beta; over the reals and complexes this is the unit rotation number."""
@@ -205,8 +202,8 @@ class RotationDescriptor:
         - the real line (model 1): rho = alpha/beta gives [[rho]];
         - the complex plane (model 2): rho = alpha/beta = c + s i gives
           [[c, -s], [s, c]];
-        - rotor pairs, alpha = beta = s + B with B a simple bivector, as
-          `thomas_rotation` builds for Clifford vectors and imaginary
+        - rotor pairs, one element s + B passed twice (B a simple bivector),
+          as `thomas_rotation` builds for Clifford vectors and imaginary
           quaternions (model 3): I + (2s/q) F^T + (2/q) F^2 with F the
           antisymmetric matrix of B and q = s^2 + |B|^2 (see `_rotor`);
         - the full quaternions (model 4): the isoclinic product
@@ -250,33 +247,30 @@ class RotationDescriptor:
             raise ValueError(f"{self!r} does not preserve the {model_dim}-vector model")
         return images[:, idx].T
 
-    def angle(self, model_dim: int | None = None) -> float:
-        """Rotation angle: signed in the plane for the complex model, else the
-        unsigned principal angle (two-boost rotations are simple rotations).
+    def angle(self) -> float:
+        """Rotation angle, a property of the rotation, not of a model: 0 on
+        the real line, the signed phase of rho in the plane, else the unsigned
+        principal angle (two-boost rotations are simple rotations).
 
-        A rotor pair, alpha = beta = s + B with B a simple bivector as
-        `thomas_rotation` builds for Clifford vectors and imaginary
-        quaternions, has the closed form 2 atan2(|B|, |s|) and needs no
-        matrix.  Any other pair reads `matrix` O as atan2(|O - O^T|_F /
-        (2 sqrt 2), (tr O - (n - 2)) / 2), which keeps every digit near 0 and
-        pi, and raises as `matrix` does.  Without `model_dim`, a quaternion
-        pair that is no rotor (a velocity had a real part) takes the 4-D
-        model, any other the algebra's default."""
+        A rotor pair, one element s + B passed twice (B a simple bivector),
+        has the closed form 2 atan2(|B|, |s|) and needs no matrix.  Any other
+        pair reads `matrix` O, on the 4-D model for quaternions (a velocity
+        had a real part) and on the algebra's default elsewhere, as
+        atan2(|O - O^T|_F / (2 sqrt 2), (tr O - (n - 2)) / 2), which keeps
+        every digit near 0 and pi, and raises as `matrix` does."""
         kind = self.algebra.kind
-        rotor = None if kind in ("real", "complex") else self._as_rotor()
-        if model_dim is None:
-            model_dim = 4 if kind == "quaternion" and rotor is None else self.algebra.default_model_dim()
-        self.algebra.model_indices(model_dim)  # raises for a model the algebra lacks
         if kind == "real":
             return 0.0
         if kind == "complex":
             r = self.rho()
             return math.atan2(r.coeffs[1], r.coeffs[0])
+        rotor = self._as_rotor()
         if rotor is not None:
             return rotor.angle
-        o = self.matrix(model_dim)
+        n = 4 if kind == "quaternion" else self.algebra.default_model_dim()
+        o = self.matrix(n)
         sine = float(np.linalg.norm(o - o.T)) / (2.0 * math.sqrt(2.0))
-        return math.atan2(sine, (float(np.trace(o)) - (model_dim - 2)) / 2.0)
+        return math.atan2(sine, (float(np.trace(o)) - (n - 2)) / 2.0)
 
     def __repr__(self):
         return f"RotationDescriptor(alpha={self.alpha!r}, beta={self.beta!r})"

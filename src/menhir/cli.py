@@ -103,17 +103,18 @@ def _parse_velocity(text: str, algebra):
     return x
 
 
-def _on_model(x: Element, what: str) -> Element:
-    """x on the algebra's default vector model, its model slots bit for bit.
-    The part it leaves out must be rounding residue, at most RESIDUE_BOUND,
-    else OffModelError."""
-    algebra = x.algebra
+def _on_model(composite: Element) -> Element:
+    """The composite menhir on the algebra's default vector model, its model
+    slots bit for bit.  The part it leaves out must be rounding residue, at
+    most RESIDUE_BOUND, else OffModelError.  Its velocity, a positive multiple
+    of it, then lies on the model too."""
+    algebra = composite.algebra
     n = algebra.default_model_dim()
     try:
-        return vector_embed(vector_part(x, n, atol=RESIDUE_BOUND), algebra)
+        return vector_embed(vector_part(composite, n, atol=RESIDUE_BOUND), algebra)
     except ValueError:
-        raise OffModelError(f"{what} is off the {n}-vector model by more than "
-                            f"the rounding bound {RESIDUE_BOUND!r}") from None
+        raise OffModelError(f"composite menhir is off the {n}-vector model by more "
+                            f"than the rounding bound {RESIDUE_BOUND!r}") from None
 
 
 def _rotation_payload(descriptor):
@@ -140,19 +141,18 @@ def compose(tag, v_text, w_text, fmt):
     composite_velocity, speed, rotation, angle_rad.
 
     When the Thomas pair is a rotor pair (Clifford vectors, imaginary
-    quaternions), the composite menhir and velocity print on the velocity
-    model: the rounding residue off it (at most 1e-12, else exit 1) is
-    dropped, every model slot keeps its bits, and the composite velocity
+    quaternions), the composite menhir prints on the velocity model: its
+    rounding residue off the model (at most 1e-12, else exit 1) is dropped,
+    every model slot keeps its bits, and the composite velocity taken from it
     reads back as a velocity.  `speed` is the norm of the printed velocity.
     """
     algebra = parse_algebra_tag(tag)
     ev, ew = (menhir_of(_parse_velocity(text, algebra)) for text in (v_text, w_text))
     composite = compose_menhirs(ev, ew)
-    u = velocity_of(composite)
     rotation = thomas_rotation(ev, ew)
     if rotation.beta is rotation.alpha:
-        composite = _on_model(composite, "composite menhir")
-        u = _on_model(u, "composite velocity")
+        composite = _on_model(composite)
+    u = velocity_of(composite)
     payload = {
         "menhir_v": format_element(ev),
         "menhir_w": format_element(ew),
@@ -172,23 +172,18 @@ def compose(tag, v_text, w_text, fmt):
 def _parse_vector_velocity(text: str, n: int | None) -> np.ndarray:
     """Velocity as a plain vector inside the ball.  Bracketed text lists the
     components; bare element text is read in `algebra_for_dimension(n)`, and
-    without n its units pick the dimension (2, 3 or 4)."""
+    without n it is read once as a quaternion whose values pick the
+    dimension: 2 (real, i) when j and k are zero, 3 (i, j, k) when the real
+    part is zero, else 4."""
     if text.strip().startswith("["):
         v = parse_bracket(text)
         if n is not None and v.size != n:
             raise ElementParseError(f"expected {n} components, got {v.size}")
+    elif n is None:
+        c = parse_element(text, QUATERNION).coeffs
+        v = c[:2] if not c[2:].any() else c[1:] if c[0] == 0.0 else c
     else:
-        x = parse_element(text, QUATERNION if n is None else algebra_for_dimension(n))
-        if n is None:
-            if np.abs(x.coeffs[2:]).max() == 0.0:
-                n = 2
-            elif abs(x.coeffs[0]) == 0.0:
-                n = 3
-            else:
-                n = 4
-            if algebra_for_dimension(n) is not QUATERNION:
-                x = parse_element(text, algebra_for_dimension(n))
-        v = _vector(x, n, text)
+        v = _vector(parse_element(text, algebra_for_dimension(n)), n, text)
     _check_ball(v, text)
     return v
 

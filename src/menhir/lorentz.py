@@ -22,6 +22,9 @@ __all__ = [
     "polar_decompose",
 ]
 
+#: rounding that `is_lorentz` allows in L^T G L - G and in L00 >= 1
+_LORENTZ_ATOL = 1e-10
+
 
 def minkowski_metric(n: int) -> np.ndarray:
     g = -np.eye(1 + n)
@@ -51,14 +54,14 @@ def boost_matrix(v) -> np.ndarray:
     return L
 
 
-def is_lorentz(L, atol: float = 1e-10) -> bool:
+def is_lorentz(L) -> bool:
     """Orthochronous proper Lorentz check: L^T G L = G, det +1, L00 >= 1."""
     L = np.asarray(L, dtype=float)
     n = L.shape[0] - 1
     g = minkowski_metric(n)
-    if np.abs(L.T @ g @ L - g).max() > atol:
+    if np.abs(L.T @ g @ L - g).max() > _LORENTZ_ATOL:
         return False
-    return bool(np.linalg.det(L) > 0.0 and L[0, 0] >= 1.0 - atol)
+    return bool(np.linalg.det(L) > 0.0 and L[0, 0] >= 1.0 - _LORENTZ_ATOL)
 
 
 def polar_decompose(L):

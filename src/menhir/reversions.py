@@ -43,6 +43,12 @@ __all__ = [
     "two_boost_word",
 ]
 
+#: seed of every sphere sample; points a butterfly probe checks, and the
+#: largest coordinate error of an image that it counts as fixed
+_SAMPLE_SEED = 0
+_BUTTERFLY_SAMPLES = 100
+_BUTTERFLY_ATOL = 1e-9
+
 
 class ConstructionError(RuntimeError):
     """A straightedge construction could not be completed."""
@@ -110,25 +116,25 @@ def collinear(points, atol: float = 1e-10) -> bool:
     return bool(s.size < 2 or s[1] <= atol * max(1.0, s[0]))
 
 
-def _sphere_samples(n: int, count: int, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
+def _sphere_samples(n: int, count: int) -> np.ndarray:
+    rng = np.random.default_rng(_SAMPLE_SEED)
     pts = rng.standard_normal((count, n))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def butterfly_check(p, q, r, s, samples: int = 100, atol: float = 1e-9, seed: int = 0) -> bool:
+def butterfly_check(p, q, r, s) -> bool:
     """Porism probe: for collinear p, q, r, s, does the word fix the sphere pointwise?
 
     The underlying porism says fixing a single point already forces the
-    identity; this samples `samples` sphere points and checks them all.
-    Non-collinear input is rejected, not decided.
+    identity; this samples `_BUTTERFLY_SAMPLES` sphere points and checks them
+    all.  Non-collinear input is rejected, not decided.
     """
     pts = [np.asarray(x, dtype=float) for x in (p, q, r, s)]
     if not collinear(pts):
         raise ValueError("reversion points must be collinear")
-    stars = _sphere_samples(pts[0].size, samples, seed)
+    stars = _sphere_samples(pts[0].size, _BUTTERFLY_SAMPLES)
     images = apply_word(stars, pts)
-    return bool(np.abs(images - stars).max() <= atol)
+    return bool(np.abs(images - stars).max() <= _BUTTERFLY_ATOL)
 
 
 def find_conjugate_point(a, b, a_new) -> np.ndarray:

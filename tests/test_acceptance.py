@@ -188,7 +188,7 @@ def test_criterion_7_geometric_constructions():
         if max(np.linalg.norm(x) for x in (a, bpt, a_new)) >= 0.9:
             continue
         b_new = find_conjugate_point(a, bpt, a_new)
-        if not butterfly_check(a, bpt, b_new, a_new, samples=100, atol=1e-9):
+        if not butterfly_check(a, bpt, b_new, a_new):
             worst_butterfly = np.inf
         built += 1
     ok = ok and worst_butterfly == 0.0

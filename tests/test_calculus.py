@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from menhir.algebra import (
     COMPLEX,
     Algebra,
+    Element,
     QUATERNION,
     REAL,
     SingularElementError,
@@ -19,6 +20,7 @@ from menhir.calculus import (
     MoebiusMatrix,
     RotationDescriptor,
     SuperluminalError,
+    _rotor,
     compose_menhirs,
     compose_velocities,
     master_decompose,
@@ -509,7 +511,7 @@ def test_closed_form_angle_matches_trace_reference():
                 v, w = sample_velocity(rng, n, lo, hi), sample_velocity(rng, n, lo, hi)
                 rot = thomas_rotation(menhir_of(vector_embed(v, algebra)),
                                       menhir_of(vector_embed(w, algebra)))
-                theta, ref = rot.angle(n), reference_angle(rot, n)
+                theta, ref = rot.angle(), reference_angle(rot, n)
                 assert abs(theta - ref) <= 1e-11 + n * 1e-15 / max(math.sin(ref), 2e-8)
                 if np.array_equal(rot.alpha.coeffs, rot.beta.coeffs):
                     o = rot.matrix(n)
@@ -537,7 +539,7 @@ def test_angle_error_types_unchanged():
     c3, c4 = clifford(3), clifford(4)
     # alpha != beta and off the model: matrix() raises ValueError
     with pytest.raises(ValueError):
-        RotationDescriptor(1.0 + c3.basis_blade(1), c3.one).angle(3)
+        RotationDescriptor(1.0 + c3.basis_blade(1), c3.one).angle()
     # alpha = beta, but no rotor: a non-simple bivector, a trivector part
     for a in (1.0 + c4.basis_blade(0b0011) + c4.basis_blade(0b1100),
               0.8 + 0.6 * c3.basis_blade(0b011) + 0.1 * c3.basis_blade(0b111)):
@@ -546,17 +548,13 @@ def test_angle_error_types_unchanged():
     # a zero pair is no rotor either
     with pytest.raises(SingularElementError):
         RotationDescriptor(c3.zero, c3.zero).angle()
-    # a model the algebra does not have
-    rot = thomas_rotation(c3.zero, c3.zero)
-    with pytest.raises(UnsupportedDimensionError):
-        rot.angle(4)
-    # ... on the complex plane and the real line too, as matrix() does
+    # a model the algebra does not have: matrix() raises on the complex plane
+    # and the real line, as on the others
     rng = np.random.default_rng(37)
     for algebra, n, bad in ((COMPLEX, 2, 3), (REAL, 1, 4)):
         rot = thomas_rotation(random_menhir(rng, algebra, n), random_menhir(rng, algebra, n))
-        for method in (rot.angle, rot.matrix):
-            with pytest.raises(UnsupportedDimensionError):
-                method(bad)
+        with pytest.raises(UnsupportedDimensionError):
+            rot.matrix(bad)
 
 
 def test_non_rotor_angle_is_exact_near_zero():
@@ -582,7 +580,7 @@ def test_non_rotor_angle_is_exact_near_zero():
             assert not np.array_equal(rot.alpha.coeffs, rot.beta.coeffs)
             exact = exact_quaternion_angle(e1, e2)
             assert target / 10 <= exact <= target * 10
-            assert abs(rot.angle(4) - exact) <= 1e-15
+            assert abs(rot.angle() - exact) <= 1e-15
 
 
 def test_angle_picks_the_model_of_the_pair():
@@ -592,10 +590,30 @@ def test_angle_picks_the_model_of_the_pair():
     for _ in range(50):
         rot = thomas_rotation(random_menhir(rng, QUATERNION, 4), random_menhir(rng, QUATERNION, 4))
         assert rot.beta is not rot.alpha
-        assert rot.angle() == rot.angle(4)
+        o = rot.matrix(4)
+        sine = float(np.linalg.norm(o - o.T)) / (2.0 * math.sqrt(2.0))
+        assert rot.angle() == math.atan2(sine, (float(np.trace(o)) - 2.0) / 2.0)
         rot = thomas_rotation(random_menhir(rng, QUATERNION, 3), random_menhir(rng, QUATERNION, 3))
         assert rot.beta is rot.alpha
-        assert rot.angle() == rot.angle(3)
+        assert rot.angle() == _rotor(rot.alpha).angle
+
+
+def test_equal_bits_are_no_rotor_pair():
+    """A rotor pair is one element passed twice.  A copy of a Thomas rotor
+    with the same bits makes a pair of two elements: no rotor, so `matrix`
+    takes the basis sandwich, which still gives the rotor's matrix."""
+    rng = np.random.default_rng(39)
+    cases = [(QUATERNION, 3)] + [(clifford(n), n) for n in (2, 3, 4, 5, 8)]
+    for algebra, n in cases:
+        for _ in range(2 if n == 8 else 20):
+            q = thomas_rotation(random_menhir(rng, algebra, n),
+                                random_menhir(rng, algebra, n)).alpha
+            copy = Element(algebra, q.coeffs.copy())
+            assert copy.coeffs.tobytes() == q.coeffs.tobytes()
+            rot = RotationDescriptor(q, copy)
+            assert rot._as_rotor() is None
+            assert RotationDescriptor(q, q)._as_rotor() is not None
+            assert np.abs(rot.matrix(n) - _rotor(q).matrix()).max() <= 1e-14
 
 
 def test_collinear_real_menhirs_match_scalar_formula():

@@ -156,8 +156,9 @@ def _on_mask(x, mask):
 
 
 def _reference_compose_json(tag, v_text, w_text, model_dim):
-    """The compose JSON rebuilt with the Thomas pair as two products, every
-    product by the blade-by-blade loop, every norm by `math.hypot` of all
+    """The compose JSON rebuilt with the Thomas pair as two products (one
+    element passed twice when they have the same bits), every product by the
+    blade-by-blade loop, every norm by `math.hypot` of all
     slots and every element through `reference_format_element`, so that a
     fault in the product kernel or the norm cannot move the reference.  The
     composite menhir and velocity print on the slots of the model_dim model."""
@@ -171,7 +172,10 @@ def _reference_compose_json(tag, v_text, w_text, model_dim):
         u = velocity_of(composite)
         mask = _model_mask(algebra, model_dim)
         composite, u = _on_mask(composite, mask), _on_mask(u, mask)
-        rotation = RotationDescriptor(1.0 + ew * ev.conjugate(), 1.0 + ew.conjugate() * ev)
+        alpha, beta = 1.0 + ew * ev.conjugate(), 1.0 + ew.conjugate() * ev
+        if alpha.coeffs.tobytes() == beta.coeffs.tobytes():
+            beta = alpha
+        rotation = RotationDescriptor(alpha, beta)
         if algebra.kind in ("real", "complex"):
             rotation_text = reference_format_element(rotation.rho())
         else:
@@ -184,7 +188,7 @@ def _reference_compose_json(tag, v_text, w_text, model_dim):
             "composite_velocity": reference_format_element(u),
             "speed": u.norm(),
             "rotation": rotation_text,
-            "angle_rad": rotation.angle(model_dim),
+            "angle_rad": rotation.angle(),
         }
         return json.dumps(payload, indent=2) + "\n"
 
@@ -526,6 +530,16 @@ def test_starfield_zero_velocity_pairs_coincide(runner):
     for line in result.output.strip().splitlines()[1:]:
         fields = [float(x) for x in line.split(",")[1:]]
         assert fields[:2] == fields[2:]
+
+
+def test_starfield_reads_a_zero_unit_as_zero(runner):
+    # the values pick the dimension, so a j or k term that is zero leaves a
+    # planar velocity: the CSV of the text without it
+    cases = (("0.5+0j", "0.5"), ("0.1+0.2i+0k", "0.1+0.2i"))
+    for text, plain in cases:
+        result = runner.invoke(main, ["starfield", "-v", text, "--format", "csv"])
+        assert result.exit_code == 0, (text, result.output)
+        assert result.output == runner.invoke(main, ["starfield", "-v", plain, "--format", "csv"]).output
 
 
 def test_starfield_two_boost_mode(runner):
