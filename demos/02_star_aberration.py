@@ -21,6 +21,7 @@ from menhir import (
     vector_embed,
     vector_part,
 )
+from menhir.algebra import RESIDUE_BOUND
 from menhir.svgplot import render_starfield
 
 v = np.array([4 / 5, 0.0])
@@ -34,7 +35,7 @@ worst = 0.0
 shifted = []
 for a in stars:
     by_word = boost_star_shift(a, v)
-    by_moebius = vector_part(moebius_apply(matrix, vector_embed(a, COMPLEX)), 2)
+    by_moebius = vector_part(moebius_apply(matrix, vector_embed(a, COMPLEX)), 2, atol=RESIDUE_BOUND)
     by_oracle = aberrate_ray(L, a)
     worst = max(worst, np.abs(by_word - by_moebius).max(), np.abs(by_word - by_oracle).max())
     shifted.append(by_word)

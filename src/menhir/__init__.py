@@ -46,8 +46,6 @@ from .lorentz import (
     aberrate_ray,
     axis_projection_shift,
     boost_matrix,
-    is_lorentz,
-    minkowski_metric,
     polar_decompose,
 )
 from .reversions import (

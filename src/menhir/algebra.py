@@ -77,6 +77,13 @@ _MAX_GENERATORS = 10
 # dearer.
 _SPARSE_DIM = 256
 
+#: x x* below this has no inverse: 1/(x x*) would leave the float64 range
+SINGULAR = 1e-300
+#: largest off-scalar part of x x*, over max(1, |scalar|), that is rounding
+_SCALAR_ATOL = 1e-12
+#: largest coefficient off a vector model that is rounding of a vector result
+RESIDUE_BOUND = 1e-12
+
 
 class AlgebraMismatchError(ValueError):
     """Operands live in different algebras."""
@@ -355,10 +362,6 @@ class Element:
     def conjugate(self) -> "Element":
         return Element(self.algebra, self.coeffs * self.algebra.conj_sign)
 
-    def norm_sq(self) -> float:
-        """Sum of squared coefficients; equals x x* whenever that product is scalar."""
-        return float(self.coeffs @ self.coeffs)
-
     def norm(self) -> float:
         """Euclidean norm of the coefficients; finite for every finite element.
         On algebras of `_SPARSE_DIM` slots or more only the nonzero slots go
@@ -370,31 +373,16 @@ class Element:
         return math.hypot(*coeffs.tolist())
 
     def inverse(self) -> "Element":
-        """x*/(x x*), valid when x x* is a nonzero scalar (division scalars,
-        Clifford scalars/vectors, and rationalizable scalar+bivector elements)."""
+        """x*/(x x*), valid when x x* is a finite nonzero scalar (division
+        scalars, Clifford scalars/vectors, and rationalizable scalar+bivector
+        elements); `not (... <= ...)` also refuses NaN and inf."""
         conj = self.conjugate()
         prod = self * conj
         s = prod.coeffs[0]
         rest = np.abs(prod.coeffs[1:]).max() if self.algebra.dim > 1 else 0.0
-        scale = max(1.0, abs(s))
-        if abs(s) < 1e-300 or rest > 1e-10 * scale:
+        if not (SINGULAR <= abs(s) < math.inf and rest <= _SCALAR_ATOL * max(1.0, abs(s))):
             raise SingularElementError(f"element is not rationalizable: {self!r}")
         return Element(self.algebra, conj.coeffs / s)
-
-    # -- parts ----------------------------------------------------------------
-
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
-    # -- comparison helpers -----------------------------------------------------
-
-    def allclose(self, other, atol: float = 1e-12) -> bool:
-        other = self._coerce(other)
-        return bool(np.abs(self.coeffs - other.coeffs).max() <= atol)
-
-    def max_diff(self, other) -> float:
-        other = self._coerce(other)
-        return float(np.abs(self.coeffs - other.coeffs).max())
 
     def __repr__(self):
         terms = []
@@ -413,7 +401,7 @@ def vector_embed(v, algebra: Algebra) -> Element:
     return Element(algebra, coeffs)
 
 
-def vector_part(x: Element, model_dim: int, atol: float = 1e-9) -> np.ndarray:
+def vector_part(x: Element, model_dim: int, atol: float) -> np.ndarray:
     """Extract the real vector of the `model_dim`-vector model from an element.
 
     Raises if coefficients outside the model exceed `atol` (the element is not

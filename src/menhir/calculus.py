@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Element, SingularElementError
+from .algebra import RESIDUE_BOUND, SINGULAR, Element, SingularElementError, _SCALAR_ATOL
 
 __all__ = [
     "DecomposedTransform",
@@ -45,6 +45,13 @@ __all__ = [
 
 # The menhir map has a square-root singularity at |v| = 1.
 SUPERLUMINAL_EDGE = 1.0 - 1e-12
+
+#: largest | |z| - 1 | of a sphere point: word images stay unit to rounding
+UNIT_ATOL = 1e-9
+#: a length or area (or |B| over a rotor's |s|) at most this is zero
+DEGENERATE_ATOL = 1e-14
+#: simple-bivector residual bound; below _SCALAR_ATOL / (2 sqrt(2) n), see `_rotor`
+_SIMPLE_ATOL = _SCALAR_ATOL / 100
 
 
 class SuperluminalError(ValueError):
@@ -152,16 +159,15 @@ def _rotor(q: Element) -> _Rotor | None:
         f = np.concatenate((b, -b, _ZERO))[table]
     s = float(c[0])
     scale = s * s + nb * nb
-    if not scale > 1e-290:
+    if not scale >= SINGULAR:
         return None
     f2 = f @ f
     if algebra.kind == "clifford":
         # B is simple iff f has rank 2, i.e. f^3 = -|B|^2 f; the bound keeps
-        # |B ^ B| below the 1e-10 that `Element.inverse` allows, so no pair
-        # accepted here would raise there
+        # |B ^ B| within what `Element.inverse` allows on n <= 10 generators
         residual = f2 @ f
         residual += (nb * nb) * f
-        if np.abs(residual, out=residual).max(initial=0.0) > 1e-12 * nb * max(1.0, scale):
+        if np.abs(residual, out=residual).max(initial=0.0) > _SIMPLE_ATOL * nb * max(1.0, scale):
             return None
     return _Rotor(s, nb, f, f2)
 
@@ -214,9 +220,9 @@ class RotationDescriptor:
         Every other pair (hand-made pairs, a model the pair has no closed
         form for) is sandwiched: column k is alpha (e_k beta^{-1}), two
         `Element` products per basis vector e_k.  A column with a
-        coefficient above 1e-6 outside the model raises ValueError (the pair
-        does not preserve the model); a beta with no inverse raises
-        SingularElementError."""
+        coefficient above RESIDUE_BOUND outside the model raises ValueError
+        (the pair does not preserve the model); a beta with no inverse
+        raises SingularElementError."""
         algebra, kind = self.algebra, self.algebra.kind
         if kind == "real" and model_dim == 1:
             return self.rho().coeffs.reshape(1, 1)
@@ -225,7 +231,7 @@ class RotationDescriptor:
             return np.array([[c, -s], [s, c]])
         if kind == "quaternion" and model_dim == 4:
             na, nb = self.alpha.norm(), self.beta.norm()
-            if na * na < 1e-300 or nb * nb < 1e-300:
+            if not (na * na >= SINGULAR and nb * nb >= SINGULAR):
                 raise SingularElementError(f"{self!r} has no rotation")
             a, b, c, d = (self.alpha.coeffs / na).tolist()
             e, f, g, h = (self.beta.coeffs / nb).tolist()
@@ -243,7 +249,7 @@ class RotationDescriptor:
                            for k in idx.tolist()])
         off = images.copy()
         off[:, idx] = 0.0
-        if np.abs(off).max() > 1e-6:
+        if np.abs(off).max() > RESIDUE_BOUND:
             raise ValueError(f"{self!r} does not preserve the {model_dim}-vector model")
         return images[:, idx].T
 
@@ -309,10 +315,6 @@ class MoebiusMatrix:
         zero = alpha.algebra.zero
         return cls(alpha, zero, zero, beta)
 
-    @property
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
     def __matmul__(self, other: "MoebiusMatrix") -> "MoebiusMatrix":
         return MoebiusMatrix(
             self.a * other.a + self.b * other.c,
@@ -321,16 +323,13 @@ class MoebiusMatrix:
             self.c * other.b + self.d * other.d,
         )
 
-    def max_diff(self, other: "MoebiusMatrix") -> float:
-        return max(p.max_diff(q) for p, q in zip(self.entries, other.entries))
-
     def __repr__(self):
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]]"
 
 
 def moebius_apply(m: MoebiusMatrix, z: Element) -> Element:
     """Fractional-linear action of a boost/rotation matrix on a unit sphere point."""
-    if not abs(z.norm() - 1.0) <= 1e-9:
+    if not abs(z.norm() - 1.0) <= UNIT_ATOL:
         raise ValueError(f"sphere point must have unit norm, got {z.norm()!r}")
     return (m.a * z + m.b) * (m.c * z + m.d).inverse()
 
@@ -364,14 +363,14 @@ def rotation_axis_angle(e1: Element, e2: Element):
     `thomas_rotation(e1, e2)` must give a quaternion rotor pair (`beta is
     alpha`), else ValueError: a real part rules it out.  Its element is the
     rotor q = 1 - e2 e1 = s + B; axis = B / |B| (None when the rotation is
-    trivial, |B| <= 1e-14 |s|), angle = 2 atan2(|B|, |s|) in [0, pi), the
-    closed form that `RotationDescriptor.angle` uses.
+    trivial, |B| <= DEGENERATE_ATOL |s|), angle = 2 atan2(|B|, |s|) in
+    [0, pi), the closed form that `RotationDescriptor.angle` uses.
     """
     rotation = thomas_rotation(e1, e2)
     if rotation.algebra.kind != "quaternion" or rotation.beta is not rotation.alpha:
         raise ValueError("menhirs must be purely imaginary quaternions")
     rotor = _rotor(rotation.alpha)  # None only for q = 0, which no two menhirs give
-    if rotor is None or rotor.norm_b <= 1e-14 * abs(rotor.s):
+    if rotor is None or rotor.norm_b <= DEGENERATE_ATOL * abs(rotor.s):
         return None, 0.0
     return rotation.alpha.coeffs[1:] / rotor.norm_b, rotor.angle
 

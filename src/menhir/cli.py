@@ -20,8 +20,8 @@ from itertools import compress
 import click
 import numpy as np
 
-from .algebra import (QUATERNION, Element, UnsupportedDimensionError, algebra_for_dimension,
-                      vector_embed, vector_part)
+from .algebra import (QUATERNION, RESIDUE_BOUND, Element, UnsupportedDimensionError,
+                      algebra_for_dimension, vector_embed, vector_part)
 from .calculus import (
     SuperluminalError,
     _check_ball,
@@ -44,12 +44,11 @@ from .reversions import (
     two_boost_fixed_points,
 )
 from .svgplot import render_starfield
-from .verify import CONFIGS, aberration_spread, run_equivalence, trial_tolerance
+from .verify import CONFIGS, TIERS, aberration_spread, run_equivalence, trial_tolerance
 
 
-#: largest coefficient off the velocity model that a composite may carry as
-#: rounding residue; the composition law sends two vectors to a vector exactly
-RESIDUE_BOUND = 1e-12
+#: a catalog row with |row|^2 below this is a zero direction, not a star
+_ZERO_DIRECTION_SQ = 1e-24
 
 
 class OffModelError(ArithmeticError):
@@ -75,6 +74,15 @@ def _exit_codes(fn):
             sys.exit(4)
 
     return wrapper
+
+
+def _quoting(**values):
+    """Fill a command help's {name} fields with thresholds, written as 1e-9 (repr: 1e-09)."""
+    def fill(fn):
+        fn.__doc__ = fn.__doc__.format(**{k: repr(v).replace("e-0", "e-")
+                                          for k, v in values.items()})
+        return fn
+    return fill
 
 
 @click.group()
@@ -134,6 +142,7 @@ def _rotation_payload(descriptor):
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json",
               show_default=True)
 @_exit_codes
+@_quoting(bound=RESIDUE_BOUND)
 def compose(tag, v_text, w_text, fmt):
     """Compose two boost velocities (first -v, then -w).
 
@@ -142,7 +151,7 @@ def compose(tag, v_text, w_text, fmt):
 
     When the Thomas pair is a rotor pair (Clifford vectors, imaginary
     quaternions), the composite menhir prints on the velocity model: its
-    rounding residue off the model (at most 1e-12, else exit 1) is dropped,
+    rounding residue off the model (at most {bound}, else exit 1) is dropped,
     every model slot keeps its bits, and the composite velocity taken from it
     reads back as a velocity.  `speed` is the norm of the printed velocity.
     """
@@ -246,7 +255,7 @@ def _read_catalog(path: str):
     with np.errstate(over="ignore", invalid="ignore"):
         for column in stars.T:
             squares += column * column
-        bad = np.flatnonzero(~((squares >= 1e-24) & (squares < math.inf)))
+        bad = np.flatnonzero(~((squares >= _ZERO_DIRECTION_SQ) & (squares < math.inf)))
     if bad.size:
         raise ElementParseError(f"{path}:{line_nos[bad[0]]}: direction must be finite and nonzero")
     if parsed < len(rows):
@@ -383,11 +392,12 @@ def starfield(v_text, w_text, count, fmt, out_path):
               type=click.Choice(["all", *CONFIGS]), help="Verification lane.")
 @click.option("--tier", type=click.Choice(["normal", "stress"]), default="normal", show_default=True)
 @_exit_codes
+@_quoting(normal=TIERS["normal"][2], stress=TIERS["stress"][2])
 def verify(trials, seed, key, tier):
     """Check the menhir calculus against the Lorentz-matrix oracle.
 
-    Tolerance: 1e-9 (normal), 1e-6 (stress); the MENHIR_TOLERANCE environment
-    variable overrides it with a finite number >= 0.  A trial fails unless
+    Tolerance: {normal} (normal), {stress} (stress); the MENHIR_TOLERANCE
+    environment variable overrides it with a finite number >= 0.  A trial fails unless
     both of its errors are within the tolerance.  Exit code 1 when any trial
     fails.
     """

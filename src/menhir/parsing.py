@@ -154,6 +154,9 @@ def parse_element(text: str, algebra: Algebra) -> Element:
 #: largest denominator of a printed rational
 _MAX_DENOMINATOR = 1_000_000
 
+#: below this the closest p/q is 0/1 (any other is twice as far): print repr
+_REPR_BELOW = 1 / (2 * _MAX_DENOMINATOR)
+
 
 def _best_rational(x: float) -> tuple[int, int]:
     """`Fraction(x).limit_denominator(_MAX_DENOMINATOR)` as (p, q): the closest
@@ -191,7 +194,7 @@ def format_number(x: float) -> str:
     x = float(x)
     if x.is_integer():
         return str(int(x))
-    if abs(x) < 5e-7:
+    if abs(x) < _REPR_BELOW:
         return repr(x)
     p, q = _best_rational(x)
     if abs(p / q - x) <= 4 * math.ulp(x):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import SuperluminalError, _check_ball, menhir_of
+from .calculus import DEGENERATE_ATOL, UNIT_ATOL, SuperluminalError, _check_ball, menhir_of
 
 __all__ = [
     "ConstructionError",
@@ -43,11 +43,13 @@ __all__ = [
     "two_boost_word",
 ]
 
-#: seed of every sphere sample; points a butterfly probe checks, and the
-#: largest coordinate error of an image that it counts as fixed
+#: seed of every sphere sample, and the points a butterfly probe checks
 _SAMPLE_SEED = 0
 _BUTTERFLY_SAMPLES = 100
-_BUTTERFLY_ATOL = 1e-9
+#: largest gap of two coinciding sphere points: a fixed star moves by rounding
+COINCIDENT_ATOL = 1e-9
+#: largest second singular value, over max(1, the first), of collinear points
+COLLINEAR_ATOL = 1e-12
 
 
 class ConstructionError(RuntimeError):
@@ -77,7 +79,7 @@ def revert(a, p) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     norms = np.linalg.norm(a, axis=-1)
-    if not np.abs(norms - 1.0).max() <= 1e-9:
+    if not np.abs(norms - 1.0).max() <= UNIT_ATOL:
         raise ValueError("sphere point must have unit norm")
     p = _interior(p)
     d = p - a
@@ -109,7 +111,7 @@ def two_boost_word(e, f) -> list:
     return [-e, f]
 
 
-def collinear(points, atol: float = 1e-10) -> bool:
+def collinear(points, atol: float = COLLINEAR_ATOL) -> bool:
     pts = np.asarray(points, dtype=float)
     centered = pts - pts.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
@@ -134,7 +136,7 @@ def butterfly_check(p, q, r, s) -> bool:
         raise ValueError("reversion points must be collinear")
     stars = _sphere_samples(pts[0].size, _BUTTERFLY_SAMPLES)
     images = apply_word(stars, pts)
-    return bool(np.abs(images - stars).max() <= _BUTTERFLY_ATOL)
+    return bool(np.abs(images - stars).max() <= COINCIDENT_ATOL)
 
 
 def find_conjugate_point(a, b, a_new) -> np.ndarray:
@@ -150,8 +152,8 @@ def find_conjugate_point(a, b, a_new) -> np.ndarray:
     a = _interior(np.asarray(a, dtype=float))
     b = _interior(np.asarray(b, dtype=float))
     a_new = _interior(np.asarray(a_new, dtype=float), "replacement point")
-    line_dir = b - a if np.linalg.norm(b - a) > 1e-14 else a_new - a
-    if np.linalg.norm(line_dir) < 1e-14:
+    line_dir = b - a if np.linalg.norm(b - a) > DEGENERATE_ATOL else a_new - a
+    if np.linalg.norm(line_dir) < DEGENERATE_ATOL:
         return b.copy()  # a == b == a_new: nothing to slide
     if not collinear([a, b, a_new]):
         raise ValueError("replacement point must lie on line(a, b)")
@@ -192,7 +194,7 @@ def _from_complex(z: complex) -> np.ndarray:
 
 def _collinear_menhirs(ec: complex, fc: complex) -> bool:
     """Collinear menhirs: the rotation is trivial and the chords do not meet."""
-    return abs(ec.conjugate() * fc - fc.conjugate() * ec) <= 1e-14
+    return abs(ec.conjugate() * fc - fc.conjugate() * ec) <= DEGENERATE_ATOL
 
 
 def _fixed_points(a: complex, b: complex) -> list[complex]:
@@ -250,7 +252,7 @@ def construct_rotation(e, f, trace: ConstructionTrace | None = None):
     ec, fc, alpha = _planar_word(e, f)
     if _collinear_menhirs(ec, fc):
         m = (ec + fc) / alpha
-        ref = m if abs(m) > 1e-14 else (ec if abs(ec) > 1e-14 else 1.0 + 0j)
+        ref = m if abs(m) > DEGENERATE_ATOL else (ec if abs(ec) > DEGENERATE_ATOL else 1.0 + 0j)
         a = _from_complex(ref / abs(ref))
         if trace is not None:
             trace.point("A", a)

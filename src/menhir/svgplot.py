@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .reversions import COINCIDENT_ATOL
+
 __all__ = ["render_starfield"]
 
 SIZE = 512
@@ -64,7 +66,7 @@ def render_starfield(
         _circle((0.0, 0.0), SCALE, 'fill="none" stroke="black" stroke-width="1.5"'),
     ]
     for src, dst in zip(before, after):
-        if np.linalg.norm(dst - src) > 1e-9:
+        if np.linalg.norm(dst - src) > COINCIDENT_ATOL:
             parts.append(
                 _line(src, dst, 'stroke="#555" stroke-width="1" marker-end="url(#tip)"')
             )

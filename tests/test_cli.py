@@ -9,14 +9,16 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from menhir.algebra import COMPLEX, Algebra, Element
+from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, Element
 from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_of, velocity_of
 from menhir.cli import _read_catalog, _shift_table, main
 from menhir.lorentz import axis_projection_shift
 from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
 from menhir.reversions import DegenerateConstructionWarning, boost_star_shift
+from menhir.verify import TIERS
 
-from util import ball_vector, reference_format_element, reference_mul_coeffs, reference_read_catalog
+from util import (ball_vector, max_diff, reference_format_element, reference_mul_coeffs,
+                  reference_read_catalog)
 
 
 @pytest.fixture
@@ -36,13 +38,25 @@ def test_compose_worked_example(runner):
     assert payload["speed"] == pytest.approx(math.sqrt(481) / 25, abs=1e-12)
 
 
+@pytest.mark.parametrize("command, constants", [
+    ("compose", [RESIDUE_BOUND]),
+    ("verify", [TIERS["normal"][2], TIERS["stress"][2]]),
+])
+def test_help_quotes_each_threshold_from_its_constant(runner, command, constants):
+    # the repr, written 1e-9 where repr writes 1e-09, reads back bit for bit
+    text = " ".join(runner.invoke(main, [command, "--help"]).output.split())
+    for value in constants:
+        quoted = repr(value).replace("e-0", "e-")
+        assert quoted in text and float(quoted) == value
+
+
 def test_compose_json_round_trip(runner):
     result = runner.invoke(main, ["compose", "-a", "complex", "-v", "0.31+0.17i", "-w", "-0.44i"])
     payload = json.loads(result.output)
     reparsed = parse_element(payload["composite_velocity"], COMPLEX)
     remenhir = menhir_of(reparsed)
     stated = parse_element(payload["composite_menhir"], COMPLEX)
-    assert remenhir.max_diff(stated) <= 1e-12
+    assert max_diff(remenhir, stated) <= 1e-12
 
 
 def test_compose_real_case(runner):
@@ -67,7 +81,7 @@ def test_compose_quaternion_has_sandwich_pair(runner):
     from menhir.algebra import QUATERNION, vector_part
 
     parsed = parse_element(payload["composite_velocity"], QUATERNION)
-    assert np.abs(vector_part(parsed, 3) - u).max() <= 1e-12
+    assert np.abs(vector_part(parsed, 3, RESIDUE_BOUND) - u).max() <= 1e-12
 
 
 def test_compose_exit_codes(runner):

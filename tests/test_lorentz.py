@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from menhir.calculus import SuperluminalError, compose_velocities, thomas_rotation, menhir_of
-from menhir.algebra import COMPLEX, vector_embed, vector_part
+from menhir.algebra import COMPLEX, RESIDUE_BOUND, vector_embed, vector_part
 from menhir.lorentz import (
     aberrate_ray,
     axis_projection_shift,
     boost_matrix,
-    is_lorentz,
-    minkowski_metric,
     polar_decompose,
 )
 from menhir.verify import sample_direction
-from util import ball_vector, reference_boost_matrix, unit_vector
+from util import ball_vector, is_lorentz, minkowski_metric, reference_boost_matrix, unit_vector
 
 
 def test_one_dimensional_boost_is_hyperbolic_rotation():
@@ -84,6 +82,19 @@ def test_polar_decompose_rejects_non_orthochronous():
         polar_decompose(L)
 
 
+def test_polar_decompose_takes_equal_and_opposite_boosts():
+    """L00 of B(-v) B(v) is 1, and its rounding, about gamma^2 eps, falls
+    on either side: the orthochronous check must not refuse the product."""
+    rng = np.random.default_rng(34)
+    for speed in (0.9999, 1.0 - 1e-6):
+        polar_decompose(boost_matrix([-speed]) @ boost_matrix([speed]))
+        for n in (2, 3, 4, 5):
+            for _ in range(20):
+                v = unit_vector(rng, n) * speed
+                polar_decompose(boost_matrix(-v) @ boost_matrix(v))
+                polar_decompose(boost_matrix(v) @ boost_matrix(-v))
+
+
 def test_polar_recomposition_random():
     rng = np.random.default_rng(32)
     for n in (2, 3, 4):
@@ -103,7 +114,7 @@ def test_oracle_matches_menhir_composition():
             w = ball_vector(rng, n)
             u_el, rot = compose_velocities(vector_embed(v, algebra), vector_embed(w, algebra))
             rotation, u = polar_decompose(boost_matrix(w) @ boost_matrix(v))
-            assert np.abs(vector_part(u_el, n) - u).max() <= 1e-9
+            assert np.abs(vector_part(u_el, n, RESIDUE_BOUND) - u).max() <= 1e-9
             assert np.abs(rot.matrix(n) - rotation[1:, 1:]).max() <= 1e-9
 
 

@@ -15,7 +15,7 @@ from menhir.parsing import (
     parse_element,
     parse_number,
 )
-from util import random_menhir, reference_format_element, reference_format_number
+from util import max_diff, random_menhir, reference_format_element, reference_format_number
 
 
 def test_parse_numbers():
@@ -99,7 +99,7 @@ def test_format_round_trip():
             x = algebra.element(rng.standard_normal(algebra.dim))
             text = format_element(x)
             back = parse_element(text, algebra)
-            assert back.max_diff(x) <= 1e-12
+            assert max_diff(back, x) <= 1e-12
 
 
 def test_format_examples():

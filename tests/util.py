@@ -13,11 +13,19 @@ package's version must stay bitwise equal to it.  `reference_read_catalog`
 is the row-by-row catalog reader that the bulk `cli._read_catalog` must match
 in labels, bitwise in stars and in its error messages.  The `exact_*` helpers
 redo a computation from the same float inputs in 50-digit mpmath, which
-they import when called, so only the tests that use them need it.
+they import when called, so only the tests that use them need it.  The
+comparison helpers `max_diff` and `allclose`, the parts `norm_sq` and
+`scalar_part`, and the Lorentz check `is_lorentz`, serve only the tests, so
+they live here.
 """
 
+import ast
 import functools
+import importlib
+import io
 import math
+import os
+import tokenize
 from fractions import Fraction
 
 import numpy as np
@@ -47,10 +55,102 @@ def random_menhir(rng, algebra, n, hi=0.9):
     return menhir_of(vector_embed(ball_vector(rng, n, 0.0, hi), algebra))
 
 
+def entries(m: MoebiusMatrix) -> tuple:
+    return (m.a, m.b, m.c, m.d)
+
+
+def max_diff(x, y) -> float:
+    """Largest coefficient gap of two elements, or of two Moebius matrices
+    entry by entry."""
+    if isinstance(x, MoebiusMatrix):
+        return max(max_diff(p, q) for p, q in zip(entries(x), entries(y)))
+    return float(np.abs(x.coeffs - x._coerce(y).coeffs).max())
+
+
+def allclose(x, y, atol: float = 1e-12) -> bool:
+    return max_diff(x, y) <= atol
+
+
+def norm_sq(x) -> float:
+    """Sum of squared coefficients; equals x x* whenever that product is scalar."""
+    return float(x.coeffs @ x.coeffs)
+
+
+def scalar_part(x) -> float:
+    return float(x.coeffs[0])
+
+
+#: rounding that `is_lorentz` allows in L^T G L - G and in L00 >= 1
+LORENTZ_ATOL = 1e-10
+
+
+def minkowski_metric(n: int) -> np.ndarray:
+    g = -np.eye(1 + n)
+    g[0, 0] = 1.0
+    return g
+
+
+def is_lorentz(L) -> bool:
+    """Orthochronous proper Lorentz check: L^T G L = G, det +1, L00 >= 1."""
+    L = np.asarray(L, dtype=float)
+    g = minkowski_metric(L.shape[0] - 1)
+    if np.abs(L.T @ g @ L - g).max() > LORENTZ_ATOL:
+        return False
+    return bool(np.linalg.det(L) > 0.0 and L[0, 0] >= 1.0 - LORENTZ_ATOL)
+
+
 def normalized(m: MoebiusMatrix) -> MoebiusMatrix:
     """Projective normal form: rows left-divided by their leading entries."""
     one = m.a.algebra.one
     return MoebiusMatrix(one, m.a.inverse() * m.b, m.d.inverse() * m.c, one)
+
+
+# -- threshold literals -----------------------------------------------------------
+
+def _assignments(source: str) -> list[tuple[int, int, str]]:
+    """(first line, last line, name) of each module-level `name = ...`."""
+    spans = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            if isinstance(target, ast.Name):
+                spans.append((node.lineno, node.end_lineno, target.id))
+    return spans
+
+
+def float_literals(path: str) -> list[tuple[int, str, str | None]]:
+    """(line, text, name) of every nonzero float literal below 1 in the code
+    of a Python file, strings and comments left out: `name` is the target of
+    the module-level assignment that holds the literal, None outside one.
+    Halves, quarters, eighths and sixteenths, such as the 0.5 of a midpoint,
+    are arithmetic, not tolerances, and are left out too."""
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    spans = _assignments(source)
+    found = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type != tokenize.NUMBER:
+            continue
+        value = ast.literal_eval(tok.string)
+        if not (isinstance(value, float) and 0.0 < value < 1.0):
+            continue
+        if Fraction(tok.string.replace("_", "")).denominator > 16:
+            line = tok.start[0]
+            name = next((n for first, last, n in spans if first <= line <= last), None)
+            found.append((line, tok.string, name))
+    return found
+
+
+def named_thresholds(path: str) -> dict:
+    """Module-level names, with their values, that a `menhir` source file
+    assigns a float below 1 or a value holding a float literal below 1."""
+    module = importlib.import_module("menhir." + os.path.basename(path)[:-3])
+    with open(path, encoding="utf-8") as fh:
+        names = [name for _, _, name in _assignments(fh.read())]
+    held = {name for _, _, name in float_literals(path)}
+    values = {name: getattr(module, name) for name in names}
+    return {name: value for name, value in values.items()
+            if name in held or (isinstance(value, float) and 0.0 < value < 1.0)}
 
 
 # -- reference implementations ------------------------------------------------------
