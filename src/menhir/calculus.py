@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import RESIDUE_BOUND, SINGULAR, Element, SingularElementError, _SCALAR_ATOL
+from .algebra import SINGULAR, Element, SingularElementError, _SCALAR_ATOL
 
 __all__ = [
     "DecomposedTransform",
@@ -202,9 +202,8 @@ class RotationDescriptor:
         return self.alpha / self.beta
 
     def matrix(self, model_dim: int) -> np.ndarray:
-        """Matrix of the sandwich action on the model vector space.
-
-        Four kinds of pair take a closed form, with no basis sandwich:
+        """Matrix of the sandwich action on the model vector space, in closed
+        form, with no basis sandwich:
         - the real line (model 1): rho = alpha/beta gives [[rho]];
         - the complex plane (model 2): rho = alpha/beta = c + s i gives
           [[c, -s], [s, c]];
@@ -217,12 +216,9 @@ class RotationDescriptor:
           right multiplication, orthogonal to rounding.  It is the sandwich
           scaled by |beta|/|alpha|, which is 1 for a Thomas pair; a zero
           alpha or beta raises SingularElementError.
-        Every other pair (hand-made pairs, a model the pair has no closed
-        form for) is sandwiched: column k is alpha (e_k beta^{-1}), two
-        `Element` products per basis vector e_k.  A column with a
-        coefficient above RESIDUE_BOUND outside the model raises ValueError
-        (the pair does not preserve the model); a beta with no inverse
-        raises SingularElementError."""
+        Every two-boost pair has one of these forms.  Any other pair raises:
+        UnsupportedDimensionError for a model the algebra lacks,
+        SingularElementError when beta has no inverse, else ValueError."""
         algebra, kind = self.algebra, self.algebra.kind
         if kind == "real" and model_dim == 1:
             return self.rho().coeffs.reshape(1, 1)
@@ -243,40 +239,32 @@ class RotationDescriptor:
             rotor = self._as_rotor()
             if rotor is not None:
                 return rotor.matrix()
-        idx = algebra.model_indices(model_dim)  # raises for a model the algebra lacks
-        beta_inv = self.beta.inverse()
-        images = np.array([(self.alpha * (algebra.basis_blade(k) * beta_inv)).coeffs
-                           for k in idx.tolist()])
-        off = images.copy()
-        off[:, idx] = 0.0
-        if np.abs(off).max() > RESIDUE_BOUND:
-            raise ValueError(f"{self!r} does not preserve the {model_dim}-vector model")
-        return images[:, idx].T
+        algebra.model_indices(model_dim)  # raises for a model the algebra lacks
+        self.beta.inverse()  # raises for a beta with no inverse
+        raise ValueError(f"{self!r} has no closed form on the {model_dim}-vector model")
 
     def angle(self) -> float:
-        """Rotation angle, a property of the rotation, not of a model: 0 on
-        the real line, the signed phase of rho in the plane, else the unsigned
-        principal angle (two-boost rotations are simple rotations).
-
-        A rotor pair, one element s + B passed twice (B a simple bivector),
-        has the closed form 2 atan2(|B|, |s|) and needs no matrix.  Any other
-        pair reads `matrix` O, on the 4-D model for quaternions (a velocity
-        had a real part) and on the algebra's default elsewhere, as
-        atan2(|O - O^T|_F / (2 sqrt 2), (tr O - (n - 2)) / 2), which keeps
-        every digit near 0 and pi, and raises as `matrix` does."""
+        """Rotation angle in closed form, a property of the rotation, not of a
+        model: 0 on the real line, the signed phase of rho in the plane, else
+        the angle 2 atan2(|B|, |s|) of a rotor s + B (two-boost rotations are
+        simple).  A quaternion pair is read by its rotor alpha, which on a
+        two-boost pair has the real part and norm of beta; a zero alpha or
+        beta raises SingularElementError.  Any other pair raises as `matrix`."""
         kind = self.algebra.kind
         if kind == "real":
             return 0.0
         if kind == "complex":
             r = self.rho()
             return math.atan2(r.coeffs[1], r.coeffs[0])
-        rotor = self._as_rotor()
-        if rotor is not None:
+        if kind == "quaternion":
+            rotor, nb = _rotor(self.alpha), self.beta.norm()
+            if rotor is None or not nb * nb >= SINGULAR:
+                raise SingularElementError(f"{self!r} has no rotation")
             return rotor.angle
-        n = 4 if kind == "quaternion" else self.algebra.default_model_dim()
-        o = self.matrix(n)
-        sine = float(np.linalg.norm(o - o.T)) / (2.0 * math.sqrt(2.0))
-        return math.atan2(sine, (float(np.trace(o)) - (n - 2)) / 2.0)
+        rotor = self._as_rotor()
+        if rotor is None:
+            self.matrix(self.algebra.n_gen)  # no rotor: raises
+        return rotor.angle
 
     def __repr__(self):
         return f"RotationDescriptor(alpha={self.alpha!r}, beta={self.beta!r})"

@@ -111,18 +111,22 @@ def _parse_velocity(text: str, algebra):
     return x
 
 
-def _on_model(composite: Element) -> Element:
+def _on_model(composite: Element, alpha: Element) -> Element:
     """The composite menhir on the algebra's default vector model, its model
-    slots bit for bit.  The part it leaves out must be rounding residue, at
-    most RESIDUE_BOUND, else OffModelError.  Its velocity, a positive multiple
-    of it, then lies on the model too."""
+    slots bit for bit.  The part it leaves out is rounding residue, which
+    grows like 1/|alpha|, alpha = 1 + e2 conj(e1): residue * |alpha| above
+    RESIDUE_BOUND raises OffModelError, |alpha| computed only for a residue
+    above it.  Its velocity, a positive multiple of it, is on the model too."""
     algebra = composite.algebra
     n = algebra.default_model_dim()
-    try:
-        return vector_embed(vector_part(composite, n, atol=RESIDUE_BOUND), algebra)
-    except ValueError:
+    idx = algebra.model_indices(n)
+    rest = composite.coeffs.copy()
+    rest[idx] = 0.0
+    residue = np.abs(rest).max()
+    if residue > RESIDUE_BOUND and residue * alpha.norm() > RESIDUE_BOUND:
         raise OffModelError(f"composite menhir is off the {n}-vector model by more "
-                            f"than the rounding bound {RESIDUE_BOUND!r}") from None
+                            f"than the rounding bound {RESIDUE_BOUND!r} / |alpha|")
+    return vector_embed(composite.coeffs[idx], algebra)
 
 
 def _rotation_payload(descriptor):
@@ -151,16 +155,17 @@ def compose(tag, v_text, w_text, fmt):
 
     When the Thomas pair is a rotor pair (Clifford vectors, imaginary
     quaternions), the composite menhir prints on the velocity model: its
-    rounding residue off the model (at most {bound}, else exit 1) is dropped,
-    every model slot keeps its bits, and the composite velocity taken from it
-    reads back as a velocity.  `speed` is the norm of the printed velocity.
+    rounding residue off the model (at most {bound} / |alpha|, alpha as under
+    `rotation`, else exit 1) is dropped, every model slot keeps its bits, and
+    the composite velocity taken from it reads back as a velocity.  `speed`
+    is the norm of the printed velocity.
     """
     algebra = parse_algebra_tag(tag)
     ev, ew = (menhir_of(_parse_velocity(text, algebra)) for text in (v_text, w_text))
     composite = compose_menhirs(ev, ew)
     rotation = thomas_rotation(ev, ew)
     if rotation.beta is rotation.alpha:
-        composite = _on_model(composite)
+        composite = _on_model(composite, rotation.alpha)
     u = velocity_of(composite)
     payload = {
         "menhir_v": format_element(ev),

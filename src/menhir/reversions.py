@@ -71,27 +71,26 @@ def _interior(p, what: str = "reversion point") -> np.ndarray:
 
 
 def revert(a, p) -> np.ndarray:
-    """Second intersection of line(a, p) with the unit sphere.
-
-    The chord parameter is t = 2(1 - a.p)/|p - a|^2, strictly positive for
-    interior p, so the second root never collides with a.  Vectorizes over a
-    leading batch axis of `a`.
-    """
-    a = np.asarray(a, dtype=float)
-    norms = np.linalg.norm(a, axis=-1)
-    if not np.abs(norms - 1.0).max() <= UNIT_ATOL:
-        raise ValueError("sphere point must have unit norm")
-    p = _interior(p)
-    d = p - a
-    t = 2.0 * (1.0 - a @ p) / np.sum(d * d, axis=-1)
-    return a + t[..., None] * d
+    """Second intersection of line(a, p) with the unit sphere: the word [p]."""
+    return apply_word(a, [p])
 
 
 def apply_word(a, word) -> np.ndarray:
-    """Left fold of reversions: the first listed point acts first."""
+    """Left fold of reversions: the first listed point acts first.
+
+    The sphere points `a` are checked once.  A reversion through p sends A to
+    A + t (p - A), at the chord parameter t = 2(1 - A.p)/|p - A|^2, strictly
+    positive for interior p, so the second root never collides with A.
+    Vectorizes over a leading batch axis of `a`.
+    """
     out = np.asarray(a, dtype=float)
+    if not np.abs(np.linalg.norm(out, axis=-1) - 1.0).max() <= UNIT_ATOL:
+        raise ValueError("sphere point must have unit norm")
     for p in word:
-        out = revert(out, p)
+        p = _interior(p)
+        d = p - out
+        t = 2.0 * (1.0 - out @ p) / np.sum(d * d, axis=-1)
+        out = out + t[..., None] * d
     return out
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "CONFIGS",
     "RunReport",
     "aberration_spread",
-    "aberration_trial",
     "composition_trial",
     "run_equivalence",
     "sample_direction",
@@ -114,15 +113,6 @@ def aberration_spread(v: np.ndarray, stars: np.ndarray, algebra: Algebra) -> flo
         float(np.abs(by_moebius - by_oracle).max()),
         float(np.abs(images).max()),
     )
-
-
-def aberration_trial(rng: np.random.Generator, key: str, tier: str = "normal"):
-    """One three-way star-shift trial; returns (spread, v, star)."""
-    algebra, n = CONFIGS[key]
-    lo, hi, _ = TIERS[tier]
-    v = sample_velocity(rng, n, lo, hi)
-    star = sample_direction(rng, n)
-    return aberration_spread(v, star[np.newaxis], algebra), v, star
 
 
 @dataclass

@@ -29,8 +29,8 @@ from menhir.reversions import (
     construct_rotation,
     find_conjugate_point,
 )
-from menhir.verify import CONFIGS, TIERS, aberration_trial, run_equivalence
-from util import ball_vector, max_diff, random_menhir, unit_vector
+from menhir.verify import CONFIGS, TIERS, run_equivalence
+from util import aberration_trial, ball_vector, max_diff, random_menhir, unit_vector
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 

@@ -405,22 +405,6 @@ def test_closed_form_matrices_need_no_sandwich(monkeypatch):
         assert np.abs(rot.matrix(n) - ref).max() <= 1e-14
 
 
-def test_sandwich_fallback_matches_reference_on_scaled_pairs():
-    """(q, c q) and (c q, q), with q a Thomas rotor and c in [0.5, 2], are no
-    rotor pairs, yet they preserve the model: their matrices are the rotor's
-    scaled by 1/c and c, built by the basis sandwich alpha (e_k beta^{-1})."""
-    rng = np.random.default_rng(35)
-    cases = [(QUATERNION, 3)] + [(clifford(n), n) for n in (2, 3, 4, 5, 8, 10)]
-    for algebra, n in cases:
-        for _ in range(2 if n >= 8 else 20):
-            q = thomas_rotation(random_menhir(rng, algebra, n),
-                                random_menhir(rng, algebra, n)).alpha
-            c = rng.uniform(0.5, 2.0)
-            for rot in (RotationDescriptor(q, c * q), RotationDescriptor(c * q, q)):
-                assert rot._as_rotor() is None
-                assert np.abs(rot.matrix(n) - reference_rotation_matrix(rot, n)).max() <= 1e-14
-
-
 def test_real_line_matrix_is_rho():
     rng = np.random.default_rng(36)
     for _ in range(100):
@@ -476,14 +460,31 @@ def test_rotation_matrix_is_a_rotation_hypothesis(key, d1, d2, s1, s2):
     assert np.abs(o - reference).max() <= 1e-14
 
 
+def test_rotation_matrix_rejects_scaled_rotor_pairs():
+    """(q, c q) and (c q, q), with q a Thomas rotor and c in [0.5, 2], preserve
+    the model, but they are no rotor pairs and have no closed form, so
+    `matrix` raises ValueError."""
+    rng = np.random.default_rng(35)
+    cases = [(QUATERNION, 3)] + [(clifford(n), n) for n in (2, 3, 4, 5, 8, 10)]
+    for algebra, n in cases:
+        for _ in range(2 if n >= 8 else 20):
+            q = thomas_rotation(random_menhir(rng, algebra, n),
+                                random_menhir(rng, algebra, n)).alpha
+            c = rng.uniform(0.5, 2.0)
+            for rot in (RotationDescriptor(q, c * q), RotationDescriptor(c * q, q)):
+                assert rot._as_rotor() is None
+                with pytest.raises(ValueError):
+                    rot.matrix(n)
+
+
 def test_rotation_matrix_rejects_an_off_model_pair():
     algebra = clifford(3)
     e1 = algebra.basis_blade(1)
     with pytest.raises(ValueError):
         RotationDescriptor(1.0 + e1, algebra.one).matrix(3)
-    # singular pairs raise as the sandwich's beta^{-1} does, on the
-    # closed-form lanes too: a zero beta, a zero rotor, a non-simple bivector,
-    # and on the 4-D quaternion model a zero alpha as well
+    # singular pairs raise SingularElementError, as beta^{-1} does: a zero
+    # beta, a zero rotor, a non-simple bivector, and on the 4-D quaternion
+    # model a zero alpha as well
     c4 = clifford(4)
     non_simple = 1.0 + c4.basis_blade(0b0011) + c4.basis_blade(0b1100)
     for rot, n in ((RotationDescriptor(COMPLEX.one, COMPLEX.zero), 2),
@@ -524,11 +525,11 @@ def test_closed_form_angle_matches_trace_reference():
 
 def test_rotor_angle_needs_no_matrix(monkeypatch):
     def no_matrix(self, model_dim):
-        raise AssertionError("matrix() called for a rotor pair")
+        raise AssertionError("matrix() called for a two-boost pair")
 
     rng = np.random.default_rng(31)
-    cases = [(QUATERNION, 3), (clifford(2), 2), (clifford(3), 3), (clifford(5), 5),
-             (clifford(10), 10)]
+    cases = [(QUATERNION, 3), (QUATERNION, 4), (clifford(2), 2), (clifford(3), 3),
+             (clifford(5), 5), (clifford(10), 10)]
     expected = []
     for algebra, n in cases:
         rot = thomas_rotation(random_menhir(rng, algebra, n), random_menhir(rng, algebra, n))
@@ -548,9 +549,13 @@ def test_angle_error_types_unchanged():
               0.8 + 0.6 * c3.basis_blade(0b011) + 0.1 * c3.basis_blade(0b111)):
         with pytest.raises(SingularElementError):
             RotationDescriptor(a, a).angle()
-    # a zero pair is no rotor either
-    with pytest.raises(SingularElementError):
-        RotationDescriptor(c3.zero, c3.zero).angle()
+    # a zero pair is no rotor either, and a quaternion pair with a zero alpha
+    # or beta has no rotation
+    for rot in (RotationDescriptor(c3.zero, c3.zero),
+                RotationDescriptor(QUATERNION.one, QUATERNION.zero),
+                RotationDescriptor(QUATERNION.zero, QUATERNION.one)):
+        with pytest.raises(SingularElementError):
+            rot.angle()
     # a model the algebra does not have: matrix() raises on the complex plane
     # and the real line, as on the others
     rng = np.random.default_rng(37)
@@ -561,11 +566,10 @@ def test_angle_error_types_unchanged():
 
 
 def test_non_rotor_angle_is_exact_near_zero():
-    """The 4-D quaternion model is no rotor pair (alpha != beta), so `angle`
-    reads its matrix.  Near-collinear boosts give Thomas angles near 1e-9 and
-    1e-5; read as atan2(sine, cosine) of the matrix they match a 50-digit
-    angle to 1e-15.  The arccos of the trace alone read 0.0 at 1e-9 and was
-    off by about 1e-10 at 1e-5."""
+    """The 4-D quaternion model is no rotor pair (alpha != beta), and `angle`
+    reads the rotor alpha.  Near-collinear boosts give Thomas angles near
+    1e-9 and 1e-5, which match a 50-digit angle to 1e-15.  The arccos of the
+    matrix's trace read 0.0 at 1e-9 and was off by about 1e-10 at 1e-5."""
     rng = np.random.default_rng(34)
     for target in (1e-9, 1e-5):
         for _ in range(20):
@@ -586,16 +590,27 @@ def test_non_rotor_angle_is_exact_near_zero():
             assert abs(rot.angle() - exact) <= 1e-15
 
 
+def test_quaternion_angle_matches_the_exact_angle_in_both_tiers():
+    """The 4-D angle, read from the rotor alpha alone, against the 50-digit
+    angle of the matrix of the pair (alpha, beta), at the speeds of both
+    verify tiers."""
+    rng = np.random.default_rng(40)
+    for lo, hi, _ in TIERS.values():
+        for _ in range(100):
+            e1, e2 = (menhir_of(vector_embed(sample_velocity(rng, 4, lo, hi), QUATERNION))
+                      for _ in range(2))
+            assert abs(thomas_rotation(e1, e2).angle() - exact_quaternion_angle(e1, e2)) <= 1e-15
+
+
 def test_angle_picks_the_model_of_the_pair():
-    # a velocity with a real part leaves alpha != beta, and only the 4-D
-    # model holds such a pair; imaginary velocities give a rotor on the 3-D one
+    # a velocity with a real part leaves alpha != beta, a pair of the 4-D
+    # model, and imaginary velocities give a rotor pair of the 3-D one; both
+    # angles are the rotor alpha's
     rng = np.random.default_rng(38)
     for _ in range(50):
         rot = thomas_rotation(random_menhir(rng, QUATERNION, 4), random_menhir(rng, QUATERNION, 4))
         assert rot.beta is not rot.alpha
-        o = rot.matrix(4)
-        sine = float(np.linalg.norm(o - o.T)) / (2.0 * math.sqrt(2.0))
-        assert rot.angle() == math.atan2(sine, (float(np.trace(o)) - 2.0) / 2.0)
+        assert rot.angle() == _rotor(rot.alpha).angle
         rot = thomas_rotation(random_menhir(rng, QUATERNION, 3), random_menhir(rng, QUATERNION, 3))
         assert rot.beta is rot.alpha
         assert rot.angle() == _rotor(rot.alpha).angle
@@ -603,8 +618,8 @@ def test_angle_picks_the_model_of_the_pair():
 
 def test_equal_bits_are_no_rotor_pair():
     """A rotor pair is one element passed twice.  A copy of a Thomas rotor
-    with the same bits makes a pair of two elements: no rotor, so `matrix`
-    takes the basis sandwich, which still gives the rotor's matrix."""
+    with the same bits makes a pair of two elements: no rotor pair, so
+    `matrix` has no closed form for it and raises ValueError."""
     rng = np.random.default_rng(39)
     cases = [(QUATERNION, 3)] + [(clifford(n), n) for n in (2, 3, 4, 5, 8)]
     for algebra, n in cases:
@@ -616,7 +631,8 @@ def test_equal_bits_are_no_rotor_pair():
             rot = RotationDescriptor(q, copy)
             assert rot._as_rotor() is None
             assert RotationDescriptor(q, q)._as_rotor() is not None
-            assert np.abs(rot.matrix(n) - _rotor(q).matrix()).max() <= 1e-14
+            with pytest.raises(ValueError):
+                rot.matrix(n)
 
 
 def test_collinear_real_menhirs_match_scalar_formula():

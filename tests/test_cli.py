@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, Element
+from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, Element, vector_embed
 from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_of, velocity_of
 from menhir.cli import _read_catalog, _shift_table, main
 from menhir.lorentz import axis_projection_shift
@@ -18,7 +19,7 @@ from menhir.reversions import DegenerateConstructionWarning, boost_star_shift
 from menhir.verify import TIERS
 
 from util import (ball_vector, max_diff, reference_format_element, reference_mul_coeffs,
-                  reference_read_catalog)
+                  reference_read_catalog, unit_vector)
 
 
 @pytest.fixture
@@ -269,17 +270,18 @@ def test_compose_composite_reads_back_as_a_velocity(runner, tag, n):
 
 
 def test_compose_off_model_composite_is_one_clean_error(runner, monkeypatch):
-    # a scalar part of 1e-6 leaves the vector model by far more than rounding:
-    # exit 1, one error line and no output; 5e-13 is rounding and is dropped
+    # a scalar part of 1e-6 or 1e-9 leaves the vector model by far more than
+    # rounding: exit 1, one error line and no output; 5e-13 is rounding and
+    # is dropped
     def skewed(scalar):
         return lambda e1, e2: compose_menhirs(e1, e2) + scalar
 
     cases = (("clifford3", "[0.1,0.2,0.3]", "[0.3,-0.2,0.1]"), ("quaternion", "0.5i", "0.5j"))
-    for tag, v_text, w_text in cases:
+    for (tag, v_text, w_text), skew in itertools.product(cases, (1e-6, 1e-9)):
         args = ["compose", "-a", tag, "-v", v_text, "-w", w_text]
-        monkeypatch.setattr("menhir.cli.compose_menhirs", skewed(1e-6))
+        monkeypatch.setattr("menhir.cli.compose_menhirs", skewed(skew))
         result = runner.invoke(main, args)
-        assert result.exit_code == 1, (tag, result.output)
+        assert result.exit_code == 1, (tag, skew, result.output)
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: composite menhir is off the"), lines
@@ -290,16 +292,47 @@ def test_compose_off_model_composite_is_one_clean_error(runner, monkeypatch):
         assert result.output == runner.invoke(main, args).output
 
 
-def test_compose_takes_the_model_of_the_pair(runner, monkeypatch):
-    # a real part of 1e-13 makes a 4-D quaternion pair: its angle comes from
-    # the closed-form 4-D matrix, and no basis sandwich runs
-    def no_sandwich(self, mask):
-        raise AssertionError("compose reached the basis sandwich")
+def test_compose_near_the_edge_sizes_the_residue_by_alpha(runner):
+    """Nearly opposite boosts at |v| = |w| = 1 - 2e-12: the composite menhir's
+    residue off the model grows like 1/|alpha| and passes RESIDUE_BOUND, but
+    residue * |alpha| stays within it.  Such requests, and their composite
+    velocities fed back as -v, exit 0 on the velocity model."""
+    speed = 1.0 - 2e-12
+    rng = np.random.default_rng(17)
+    cases = [("clifford5",
+              [-0.664223361297312, -0.207390019913198, -0.424769648401527, -0.351111713107536,
+               0.460530147394106],
+              [0.664218782980509, 0.207390282080974, 0.424777510758802, 0.351108085693546,
+               -0.460532146266071])]
+    for tag, n in (("clifford3", 3), ("clifford5", 5), ("quaternion", 3)):
+        for angle in (1e-5, 1e-6):
+            for _ in range(4):
+                d = unit_vector(rng, n)
+                d2 = -(d + angle * unit_vector(rng, n))
+                cases.append((tag, (d * speed).tolist(), (d2 * (speed / np.linalg.norm(d2))).tolist()))
+    over = 0
+    for tag, v, w in cases:
+        algebra = parse_algebra_tag(tag)
+        ev, ew = (menhir_of(vector_embed(np.array(x), algebra)) for x in (v, w))
+        off = compose_menhirs(ev, ew).coeffs.copy()
+        off[algebra.model_indices(algebra.default_model_dim())] = 0.0
+        over += np.abs(off).max() > RESIDUE_BOUND
+        args = ["compose", "-a", tag, "-v", _velocity_text(tag, v), "-w", _velocity_text(tag, w)]
+        for _ in range(2):  # the request, then its composite velocity fed back as -v
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (args, result.output)
+            text = json.loads(result.stdout)["composite_velocity"]
+            assert _off_model_slots(text, algebra) == 0, (args, text)
+            args[4] = text
+    assert over >= 5  # the raw residue alone would refuse these
 
-    monkeypatch.setattr(Algebra, "basis_blade", no_sandwich)
+
+def test_compose_takes_the_model_of_the_pair(runner):
+    # a real part of 1e-13 makes a 4-D quaternion pair: its angle is the
+    # rotor alpha's, on the 50-digit value
     result = runner.invoke(main, ["compose", "-a", "quaternion", "-v", "1e-13+0.5i", "-w", "0.3j"])
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["angle_rad"] == 0.08223331986751782
+    assert json.loads(result.output)["angle_rad"] == 0.08223331986751783
 
 
 def test_aberrate(runner, tmp_path):
@@ -620,6 +653,20 @@ def test_starfield_small_second_boost_falls_back(runner):
     )
     assert lines == ["warning: construction overlay incomplete (parallel chords)"]
     assert "A" in texts and "e[+]f" not in texts
+
+
+def test_starfield_two_boosts_near_the_edge(runner):
+    # |v| = 1 - 1e-11 along the antipode of a star: that star's image after
+    # the origin and the menhir is off the circle by more than UNIT_ATOL, but
+    # the word checks its stars once, on entry, so the next letters take it
+    result = runner.invoke(main, ["starfield", "-v", "[0.4999999999950001,-0.8660254037757783]",
+                                  "--w", "0.5i", "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    rows = np.array([[float(x) for x in line.split(",")[1:]]
+                     for line in result.stdout.splitlines()[1:]])
+    assert rows.shape == (12, 4)
+    assert np.abs(np.linalg.norm(rows[:, 2:], axis=1) - 1.0).max() <= 1e-8
 
 
 def test_starfield_unsupported_dimension(runner):

@@ -15,8 +15,8 @@ in labels, bitwise in stars and in its error messages.  The `exact_*` helpers
 redo a computation from the same float inputs in 50-digit mpmath, which
 they import when called, so only the tests that use them need it.  The
 comparison helpers `max_diff` and `allclose`, the parts `norm_sq` and
-`scalar_part`, and the Lorentz check `is_lorentz`, serve only the tests, so
-they live here.
+`scalar_part`, the Lorentz check `is_lorentz` and the star-shift trial
+`aberration_trial` serve only the tests, so they live here.
 """
 
 import ast
@@ -33,6 +33,7 @@ import numpy as np
 from menhir.algebra import vector_embed
 from menhir.calculus import MoebiusMatrix, menhir_of
 from menhir.parsing import ElementParseError
+from menhir.verify import CONFIGS, TIERS, aberration_spread, sample_direction, sample_velocity
 
 
 def unit_vector(rng, n):
@@ -97,6 +98,15 @@ def is_lorentz(L) -> bool:
     if np.abs(L.T @ g @ L - g).max() > LORENTZ_ATOL:
         return False
     return bool(np.linalg.det(L) > 0.0 and L[0, 0] >= 1.0 - LORENTZ_ATOL)
+
+
+def aberration_trial(rng, key: str, tier: str = "normal"):
+    """One three-way star-shift trial of a verify lane; returns (spread, v, star)."""
+    algebra, n = CONFIGS[key]
+    lo, hi, _ = TIERS[tier]
+    v = sample_velocity(rng, n, lo, hi)
+    star = sample_direction(rng, n)
+    return aberration_spread(v, star[np.newaxis], algebra), v, star
 
 
 def normalized(m: MoebiusMatrix) -> MoebiusMatrix:
