@@ -188,11 +188,6 @@ class Algebra:
             raise ValueError(f"expected {self.dim} coefficients, got {coeffs.shape}")
         return Element(self, coeffs)
 
-    def basis_blade(self, mask: int) -> "Element":
-        coeffs = np.zeros(self.dim)
-        coeffs[mask] = 1.0
-        return Element(self, coeffs)
-
     def model_indices(self, model_dim: int) -> np.ndarray:
         """Coefficient slots representing a vector of the given spatial
         dimension, as a shared read-only array."""

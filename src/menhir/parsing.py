@@ -10,12 +10,17 @@ Scalars and unit symbols combine into sums of terms; whitespace is ignored:
 
 Formatting is the inverse.  An integral coefficient prints as an integer, one
 within 4 ulps of a rational p/q with q <= 10^6 as `p/q`, anything else as
-`repr(float)`, so emitted text parses back to within 4 ulps.  The rational is
-the continued-fraction best approximation of `Fraction.limit_denominator`,
-computed in plain ints.  A nonzero value below 5e-7 in magnitude (rounding
-residues, subnormals) always prints as its repr: no such p/q but 0 lies within
-4 ulps of it.  Zero coefficients print as "0" without that search, which
-matters for the 2^n coefficients of a Clifford element.
+`repr(float)`, so emitted text parses back to within 4 ulps.  Two steps decide
+it.  A float continued fraction screens the value first: when exact checks
+certify that no such p/q lies within 5 ulps, the repr prints at once, as it
+does for all but about 0.05% of random coefficients.  Otherwise the exact
+search decides: the continued-fraction best approximation of
+`Fraction.limit_denominator`, computed in plain ints.  The screen skips work
+only; the text is what the exact search alone would print.  A nonzero value
+below 5e-7 in magnitude (rounding residues, subnormals) always prints as its
+repr: no such p/q but 0 lies within 4 ulps of it.  Zero coefficients print as
+"0" without either step, which matters for the 2^n coefficients of a Clifford
+element.
 """
 
 from __future__ import annotations
@@ -157,6 +162,14 @@ _MAX_DENOMINATOR = 1_000_000
 #: below this the closest p/q is 0/1 (any other is twice as far): print repr
 _REPR_BELOW = 1 / (2 * _MAX_DENOMINATOR)
 
+#: a p/q within this many ulps of x prints as `p/q`
+_PRINT_ULPS = 4
+
+#: the float screen returns repr only with no p/q this many ulps near x: the
+#: printing rule's ulps plus 1, since p/q itself rounds to a float within 1 ulp
+#: of x (half an ulp of p/q, which is at most 2 ulps of x across a binade edge)
+_SCREEN_ULPS = _PRINT_ULPS + 1
+
 
 def _best_rational(x: float) -> tuple[int, int]:
     """`Fraction(x).limit_denominator(_MAX_DENOMINATOR)` as (p, q): the closest
@@ -187,6 +200,43 @@ def _best_rational(x: float) -> tuple[int, int]:
     return p2, q2
 
 
+def _far_from_small_rationals(x: float) -> bool:
+    """True only when no p/q with q <= _MAX_DENOMINATOR lies within
+    _SCREEN_ULPS ulps of x, a non-integral float of at least _REPR_BELOW.
+
+    A continued fraction in floats proposes the Farey neighbours of x of
+    order _MAX_DENOMINATOR: the last convergent p1/q1 and the semiconvergent
+    p2/q2.  Exact checks then decide.  Every fraction strictly between two
+    with |p1 q2 - p2 q1| = 1 has a denominator of at least q1 + q2 (Hardy &
+    Wright, ch. 3); so when q1 + q2 > _MAX_DENOMINATOR and x lies strictly
+    between the two, more than _SCREEN_ULPS ulps from each, every p/q with
+    q <= _MAX_DENOMINATOR is that far from x.  The loop only proposes: a pair
+    that rounding led astray fails a check, and so does a product x q of 2^52
+    or more, an integral float."""
+    y, q0, q1 = x, 1.0, 0.0
+    try:
+        while True:
+            f = y % 1.0
+            q2 = q0 + (y - f) * q1
+            if q2 > _MAX_DENOMINATOR:
+                break
+            q0, q1 = q1, q2
+            y = 1.0 / f
+    except ZeroDivisionError:  # the expansion ended: x is p/q in float arithmetic
+        return False
+    q2 = q0 + (_MAX_DENOMINATOR - q0) // q1 * q1
+    y1, y2 = x * q1, x * q2
+    p1, p2 = round(y1), round(y2)
+    # d = y - p is exact, and y is off x q by at most half an ulp of y
+    d1, d2 = y1 - p1, y2 - p2
+    u = _SCREEN_ULPS * math.ulp(x)
+    return ((d1 < 0) != (d2 < 0)
+            and abs(d1) > u * q1 + math.ulp(y1)
+            and abs(d2) > u * q2 + math.ulp(y2)
+            and q1 + q2 > _MAX_DENOMINATOR
+            and abs(p1 * int(q2) - p2 * int(q1)) == 1)
+
+
 def format_number(x: float) -> str:
     """Text for a finite float: an integer when x is integral, a small rational
     when one sits within 4 ulps, otherwise the full repr.  Either form parses
@@ -194,10 +244,10 @@ def format_number(x: float) -> str:
     x = float(x)
     if x.is_integer():
         return str(int(x))
-    if abs(x) < _REPR_BELOW:
+    if abs(x) < _REPR_BELOW or _far_from_small_rationals(abs(x)):
         return repr(x)
     p, q = _best_rational(x)
-    if abs(p / q - x) <= 4 * math.ulp(x):
+    if abs(p / q - x) <= _PRINT_ULPS * math.ulp(x):
         return f"{p}/{q}"
     return repr(x)
 

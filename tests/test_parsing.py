@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from menhir import parsing
 from menhir.algebra import COMPLEX, QUATERNION, REAL, clifford, vector_embed
 from menhir.calculus import compose_menhirs, thomas_rotation, velocity_of
 from menhir.parsing import (
@@ -159,6 +161,66 @@ FORMAT_INPUTS = st.one_of(
 @given(FORMAT_INPUTS)
 def test_format_number_matches_fraction_reference(x):
     assert format_number(x) == reference_format_number(x)
+
+
+def _screen_edges() -> list[float]:
+    """Inputs at the edges of `format_number`'s float screen, in both signs:
+    p/q nudged by 4 to 7 ulps with q of 999983, 10^6 - 1 and 10^6, at sizes
+    10^-6 to 10^12; p/q just below and just above a power of two, nudged by
+    up to 7 ulps; powers of two nudged across their binade edge."""
+    rng = np.random.default_rng(64)
+    ulps = [k for k in range(-7, 8) if abs(k) >= 4]
+    values = []
+    for q in (999_983, 10**6 - 1, 10**6):
+        for size in np.logspace(-6, 12, 37).tolist():
+            p = max(1, round(size * q * rng.uniform(1.0, 1.5)))
+            values += [_nudged(p, q, k) for k in ulps]
+    for e in range(-19, 41):
+        p, q = (2**e, 1) if e >= 0 else (1, 2**-e)
+        values += [_nudged(p, q, k) for k in range(-7, 8)]
+        for q in (3, 999_983, 10**6 - 1, 10**6):
+            below = math.floor(2.0**e * q)
+            for p in (below, below + 1):
+                if p > 0:
+                    values += [_nudged(p, q, k) for k in range(-7, 8)]
+    values = [x for x in values if not _changed_on_purpose(x)]
+    return values + [-x for x in values]
+
+
+def _near_rational(x: float) -> bool:
+    """A p/q with q <= 10^6 lies within `_SCREEN_ULPS` ulps of x, exactly."""
+    exact = Fraction(x)
+    distance = abs(exact - exact.limit_denominator(10**6))
+    return distance <= parsing._SCREEN_ULPS * Fraction(math.ulp(x))
+
+
+def test_format_number_screen_edges_match_fraction_reference():
+    for x in _screen_edges():
+        assert format_number(x) == reference_format_number(x), x
+
+
+def test_format_number_screen_skips_the_exact_search_only_far_from_rationals(monkeypatch):
+    """The float screen certifies nearly every random coefficient, so the
+    exact rational search runs on few of them; it still runs on every input
+    with a p/q (q <= 10^6) within `_SCREEN_ULPS` ulps."""
+    searched = []
+    best_rational = parsing._best_rational
+
+    def counted(x):
+        searched.append(x)
+        return best_rational(x)
+
+    monkeypatch.setattr(parsing, "_best_rational", counted)
+    for x in np.random.default_rng(65).uniform(-1.0, 1.0, 10_000).tolist():
+        format_number(x)
+    assert len(searched) <= 10
+    near = [x for x in _screen_edges()
+            if not x.is_integer() and abs(x) >= parsing._REPR_BELOW and _near_rational(x)]
+    assert len(near) > 1000
+    for x in near:
+        searched.clear()
+        format_number(x)
+        assert searched == [x]
 
 
 def test_format_element_matches_reference():

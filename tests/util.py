@@ -52,6 +52,13 @@ def random_element(rng, algebra, scale=1.0):
     return algebra.element(rng.standard_normal(algebra.dim) * scale)
 
 
+def basis_blade(algebra, mask: int):
+    """The basis blade of `algebra` with bitmask `mask`, coefficient 1."""
+    coeffs = np.zeros(algebra.dim)
+    coeffs[mask] = 1.0
+    return algebra.element(coeffs)
+
+
 def random_menhir(rng, algebra, n, hi=0.9):
     return menhir_of(vector_embed(ball_vector(rng, n, 0.0, hi), algebra))
 
