@@ -46,6 +46,7 @@ from .lorentz import (
     aberrate_ray,
     axis_projection_shift,
     boost_matrix,
+    composition_split,
     polar_decompose,
 )
 from .reversions import (

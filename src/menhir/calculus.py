@@ -135,7 +135,7 @@ class _Rotor(NamedTuple):
         scale = self.s * self.s + self.norm_b * self.norm_b
         o = (2.0 / scale) * self.f2
         o -= (2.0 * self.s / scale) * self.f  # f^T = -f
-        o += np.eye(len(o))
+        o.flat[::len(o) + 1] += 1.0  # + I, with no identity allocated
         return o
 
 

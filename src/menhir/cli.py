@@ -20,6 +20,7 @@ from itertools import compress
 import click
 import numpy as np
 
+from . import lorentz
 from .algebra import (QUATERNION, RESIDUE_BOUND, Element, UnsupportedDimensionError,
                       algebra_for_dimension, vector_embed, vector_part)
 from .calculus import (
@@ -413,6 +414,10 @@ def verify(trials, seed, key, tier):
             tolerance = trial_tolerance(tier, float(env))
         except ValueError:
             raise click.UsageError(f"MENHIR_TOLERANCE={env!r} is not a finite number >= 0") from None
+    bits = int(np.finfo(lorentz.SPLIT_DTYPE).nmant)
+    if bits < lorentz.EXTENDED_MANTISSA_BITS:
+        click.echo(f"note: no extended long double here; the oracle splits with {bits} "
+                   f"mantissa bits, not {lorentz.EXTENDED_MANTISSA_BITS}", err=True)
 
     keys = list(CONFIGS) if key == "all" else [key]
     any_failures = False

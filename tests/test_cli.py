@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from menhir import lorentz
 from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, Element, vector_embed
 from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_of, velocity_of
 from menhir.cli import _read_catalog, _shift_table, main
@@ -18,8 +19,8 @@ from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
 from menhir.reversions import DegenerateConstructionWarning, boost_star_shift
 from menhir.verify import TIERS
 
-from util import (ball_vector, max_diff, reference_format_element, reference_mul_coeffs,
-                  reference_read_catalog, unit_vector)
+from util import (ball_vector, max_diff, needs_extended_split, reference_format_element,
+                  reference_mul_coeffs, reference_read_catalog, unit_vector)
 
 
 @pytest.fixture
@@ -688,6 +689,20 @@ def test_verify_ok(runner):
     result = runner.invoke(main, ["verify", "--trials", "25", "--seed", "42", "-a", "complex"])
     assert result.exit_code == 0
     assert "failures=0" in result.output
+
+
+@needs_extended_split
+def test_verify_names_a_double_precision_oracle(runner, monkeypatch):
+    """Where long double is double (MSVC, macOS arm64) the oracle splits in
+    float64, and `verify` says so in one stderr line; with an extended long
+    double it says nothing.  The pinned stress key passes the tier either way."""
+    args = ["verify", "--trials", "41", "--seed", "1765266107", "-a", "quaternion", "--tier", "stress"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0 and result.stderr == ""
+    monkeypatch.setattr(lorentz, "SPLIT_DTYPE", np.float64)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stderr == "note: no extended long double here; the oracle splits with 52 mantissa bits, not 63\n"
 
 
 def test_verify_rejects_zero_trials(runner):

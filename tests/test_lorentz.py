@@ -5,14 +5,26 @@ import pytest
 
 from menhir.calculus import SuperluminalError, compose_velocities, thomas_rotation, menhir_of
 from menhir.algebra import COMPLEX, RESIDUE_BOUND, vector_embed, vector_part
+from menhir import lorentz
 from menhir.lorentz import (
     aberrate_ray,
     axis_projection_shift,
     boost_matrix,
+    composition_split,
     polar_decompose,
 )
-from menhir.verify import sample_direction
-from util import ball_vector, is_lorentz, minkowski_metric, reference_boost_matrix, unit_vector
+from menhir.verify import CONFIGS, TIERS, sample_direction, sample_velocity
+from util import (
+    SPEEDS,
+    ball_vector,
+    exact_polar_split,
+    hard_pairs,
+    is_lorentz,
+    minkowski_metric,
+    needs_extended_split,
+    reference_boost_matrix,
+    unit_vector,
+)
 
 
 def test_one_dimensional_boost_is_hyperbolic_rotation():
@@ -106,6 +118,73 @@ def test_polar_recomposition_random():
             assert np.abs(rotation[1:, 0]).max() <= 1e-10
 
 
+def _split_errors(pairs):
+    """Worst gap to the 50-digit split of L(w) L(v), over u and R, of
+    `composition_split` and of the float64 `polar_decompose` path.  The
+    polar path refuses a composite speed past the ball's guard (two 1-D
+    boosts of 1 - 1e-6 the same way), which the split takes; it is skipped
+    there."""
+    worst_split = worst_polar = 0.0
+    for v, w in pairs:
+        u_exact, r_exact = exact_polar_split(v, w)
+        rotation, u = composition_split(v, w)
+        worst_split = max(worst_split, np.abs(rotation - r_exact).max(), np.abs(u - u_exact).max())
+        try:
+            rotation, u = polar_decompose(boost_matrix(w) @ boost_matrix(v))
+        except SuperluminalError:
+            continue
+        worst_polar = max(worst_polar, np.abs(rotation[1:, 1:] - r_exact).max(),
+                          np.abs(u - u_exact).max())
+    return float(worst_split), float(worst_polar)
+
+
+@needs_extended_split
+def test_composition_split_is_exact_to_rounding():
+    """In extended precision the closed-form split stays within 1e-12 of a
+    50-digit split in 1 to 5 dimensions, at every speed of SPEEDS, on random
+    and nearly opposite pairs (angles 1e-1 to 1e-6 off antipodal), at v = 0
+    and at w = -v; the float64 polar path misses by more on the same sample."""
+    rng = np.random.default_rng(38)
+    pairs = []
+    for n in range(1, 6):
+        v = unit_vector(rng, n) * SPEEDS[-1]
+        pairs += [*hard_pairs(rng, n, count=2), (np.zeros(n), v), (v, np.zeros(n)), (v, -v)]
+    worst_split, worst_polar = _split_errors(pairs)
+    print(f"composition_split: {worst_split:.3g}, polar_decompose: {worst_polar:.3g}")
+    assert worst_split <= 1e-12 < worst_polar
+
+
+def test_composition_split_at_zero_and_opposite_boosts():
+    for n in (1, 3):
+        rotation, u = composition_split(np.zeros(n), np.zeros(n))
+        assert np.array_equal(rotation, np.eye(n)) and np.array_equal(u, np.zeros(n))
+        v = np.full(n, 0.9 / math.sqrt(n))
+        rotation, u = composition_split(v, -v)
+        assert np.abs(rotation - np.eye(n)).max() <= 1e-14 and np.abs(u).max() <= 1e-14
+    rotation, u = composition_split(0.6, 0.6)
+    assert rotation.shape == (1, 1) and abs(u[0] - 15 / 17) <= math.ulp(1.0)
+    for bad in ([1.0, 0.0], [math.nan, 0.0]):
+        with pytest.raises(SuperluminalError):
+            composition_split(bad, [0.0, 0.0])
+        with pytest.raises(SuperluminalError):
+            composition_split([0.0, 0.0], bad)
+
+
+def test_composition_split_in_float64(monkeypatch):
+    """Where long double is double, the same code runs in float64: on a
+    stress-tier sample it stays within 1e-12 of the 50-digit split, no closer
+    than the extended split and closer than the polar path."""
+    rng = np.random.default_rng(39)
+    lo, hi, _ = TIERS["stress"]
+    pairs = [(sample_velocity(rng, n, lo, hi), sample_velocity(rng, n, lo, hi))
+             for _, n in CONFIGS.values() for _ in range(25)]
+    extended, polar = _split_errors(pairs)
+    monkeypatch.setattr(lorentz, "SPLIT_DTYPE", np.float64)
+    double, _ = _split_errors(pairs)
+    print(f"stress sample: extended {extended:.3g}, float64 {double:.3g}, polar {polar:.3g}")
+    assert extended <= double <= 1e-12 < polar
+
+
 def test_oracle_matches_menhir_composition():
     rng = np.random.default_rng(33)
     for n, algebra in [(2, COMPLEX)]:
@@ -179,11 +258,13 @@ def test_rotation_comparison_across_representations():
 
 
 def test_oracle_is_bitwise_the_first_version():
-    """The verify failure set depends on how the oracle rounds near the cone,
-    so `boost_matrix`, `polar_decompose` and the direction sampler must
-    equal their first versions bit for bit: at v = 0, at random speeds and
-    within 1e-9 of the cone (boosts; compositions stay below the 1 - 1e-12
-    guard), in 1 to 10 dimensions."""
+    """`aberrate --debug` and the benchmark's compose gate check against
+    `boost_matrix` and `polar_decompose`, and the verify trials draw from the
+    direction sampler, so their failure sets depend on how these round near
+    the cone; the verify trials split with `composition_split`, which shares
+    no code with them.  All three must equal their first versions bit for
+    bit: at v = 0, at random speeds and within 1e-9 of the cone (boosts;
+    compositions stay below the 1 - 1e-12 guard), in 1 to 10 dimensions."""
     rng = np.random.default_rng(36)
     for n in range(1, 11):
         assert np.array_equal(boost_matrix(np.zeros(n)), np.eye(1 + n))

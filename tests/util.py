@@ -29,9 +29,11 @@ import tokenize
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from menhir.algebra import vector_embed
 from menhir.calculus import MoebiusMatrix, menhir_of
+from menhir.lorentz import EXTENDED_MANTISSA_BITS
 from menhir.parsing import ElementParseError
 from menhir.verify import CONFIGS, TIERS, aberration_spread, sample_direction, sample_velocity
 
@@ -46,6 +48,35 @@ def unit_vector(rng, n):
 
 def ball_vector(rng, n, lo=0.0, hi=0.95):
     return unit_vector(rng, n) * rng.uniform(lo, hi)
+
+
+#: marks a test of the oracle split's extended precision: it runs only where
+#: long double is wider than double (not under MSVC or on macOS arm64)
+needs_extended_split = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < EXTENDED_MANTISSA_BITS,
+    reason="long double is double here, so the oracle splits in float64")
+
+
+#: the speeds of the hard samples: both verify tiers, to the stress tier's edge
+SPEEDS = (0.5, 0.95, 0.999, 1.0 - 1e-6)
+
+
+def opposite_pair(rng, n, speed, angle):
+    """A velocity pair of one speed whose directions are `angle` off antipodal."""
+    d = unit_vector(rng, n)
+    d2 = -(d + angle * unit_vector(rng, n))
+    return d * speed, d2 * (speed / np.linalg.norm(d2))
+
+
+def hard_pairs(rng, n, count=6):
+    """Velocity pairs at every speed of SPEEDS, random and nearly opposite."""
+    for speed in SPEEDS:
+        for angle in (None, 1e-1, 1e-3, 1e-6):
+            for _ in range(count):
+                if angle is None:
+                    yield unit_vector(rng, n) * speed, unit_vector(rng, n) * speed
+                else:
+                    yield opposite_pair(rng, n, speed, angle)
 
 
 def random_element(rng, algebra, scale=1.0):
