@@ -8,7 +8,6 @@ A boost by velocity v is the hyperbolic rotation of rapidity atanh|v| in the
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -22,52 +21,11 @@ __all__ = [
     "polar_decompose",
 ]
 
-#: rounding below 1 of an orthochronous L00; in a boost product it grows
-#: like gamma_v gamma_w eps (about 2e-10 at the stress tier's edge)
-_ORTHOCHRONOUS_ATOL = 1e-9
-
 #: float type of `composition_split`: long double, 63 mantissa bits on x86
 #: Linux; where it is double (MSVC, macOS arm64) the split runs in float64
 SPLIT_DTYPE = np.longdouble
 #: mantissa bits of an extended long double; `verify` names fewer on stderr
 EXTENDED_MANTISSA_BITS = 63
-
-
-def boost_matrix(v) -> np.ndarray:
-    """Pure boost sending the time axis e0 to (gamma, gamma v); fixes the
-    orthogonal complement of span{e0, v}.
-
-    The verify trials compare against these matrices near the light cone, so
-    every entry is rounded as in the first version of this function (the
-    test reference): gamma from one square root, gamma v, and
-    gamma^2/(gamma + 1) times each product v_i v_j."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    n = v.size
-    _check_ball(v, "v")
-    g = 1.0 / math.sqrt(1.0 - float(v @ v))
-    gv = g * v
-    L = np.eye(1 + n)
-    L[0, 0] = g
-    L[0, 1:] = gv
-    L[1:, 0] = gv
-    # (gamma - 1)/v^2 written as gamma^2/(gamma + 1) to stay finite at v = 0
-    L[1:, 1:] += g * g / (g + 1.0) * (v[:, None] * v)
-    return L
-
-
-def polar_decompose(L):
-    """Split an orthochronous proper Lorentz matrix as rotation @ boost.
-
-    The boost velocity is read off the first row, e0^T L = (gamma, gamma u),
-    so that L = R B(u) with R fixing e0 and orthogonal on the spatial block.
-    Returns (rotation, velocity).
-    """
-    L = np.asarray(L, dtype=float)
-    if L[0, 0] < 1.0 - _ORTHOCHRONOUS_ATOL:
-        raise ValueError("matrix is not orthochronous")
-    u = L[0, 1:] / L[0, 0]
-    rotation = L @ boost_matrix(-u)
-    return rotation, u
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,31 +38,54 @@ def _signature(size: int, dtype) -> np.ndarray:
 
 
 def _boost(v: np.ndarray) -> np.ndarray:
-    """The boost of `boost_matrix` in the dtype of v, as J + p p^T / p_0 with
+    """The boost by v in the dtype of v, as J + p p^T / p_0 with
     p = (1 + gamma, gamma v) and J = diag(-1, 1, ..., 1)."""
     g = 1 / np.sqrt(1 - v @ v)
     p = np.concatenate(((1 + g,), g * v))
     return _signature(p.size, v.dtype) + np.multiply.outer(p, p / p[0])
 
 
+def boost_matrix(v) -> np.ndarray:
+    """Pure boost sending the time axis e0 to (gamma, gamma v); fixes the
+    orthogonal complement of span{e0, v}."""
+    _check_ball(v, "v")
+    return _boost(np.asarray(v, dtype=float).reshape(-1))
+
+
+def _split(L: np.ndarray):
+    """(R, u) with L = diag(1, R) B(u), in closed form and in the dtype of L:
+    u = L_0s / L_00 and R = L_ss - L_s0 L_0s / (1 + L_00).  R's subtraction
+    cancels entries of size L_00, so its error is L_00 times L's rounding."""
+    row, l00 = L[0, 1:], L[0, 0]
+    return L[1:, 1:] - np.multiply.outer(L[1:, 0], row / (1 + l00)), row / l00
+
+
+def polar_decompose(L):
+    """Split an orthochronous proper Lorentz matrix as rotation @ boost, in
+    float64: L = R B(u) with R fixing e0, u read off the first row
+    e0^T L = (gamma, gamma u).  Returns (rotation, velocity).  L00 >= 1 or
+    L00 <= -1 in a Lorentz matrix, so its sign tells them apart exactly."""
+    L = np.asarray(L, dtype=float)
+    if not L[0, 0] > 0:
+        raise ValueError("matrix is not orthochronous")
+    rotation = np.eye(L.shape[0])
+    rotation[1:, 1:], u = _split(L)
+    return rotation, u
+
+
 def composition_split(v, w):
     """Rotation and velocity of boost v then boost w: L = B(w) B(v) =
     diag(1, R) B(u).  Returns (R, u), R the spatial n x n rotation.
 
-    L is formed once in `SPLIT_DTYPE` and split in closed form,
-    u = L_0s / L_00 and R = L_ss - L_s0 L_0s / (1 + L_00); both are rounded
-    to float64.  R's subtraction cancels entries of size gamma_v gamma_w, as
-    the float64 product L B(-u) of `polar_decompose` does, but in the wider
-    mantissa.  For velocities inside the ball L_00 = gamma_v gamma_w
-    (1 + v.w) > 0: L is orthochronous, and no rounding test is needed."""
+    L is formed and split in `SPLIT_DTYPE`, then both parts are rounded to
+    float64.  Inside the ball L_00 = gamma_v gamma_w (1 + v.w) > 0, so L
+    needs no orthochronous test."""
     _check_ball(v, "v")
     _check_ball(w, "w")
     v = np.asarray(v, dtype=SPLIT_DTYPE).reshape(-1)
     w = np.asarray(w, dtype=SPLIT_DTYPE).reshape(-1)
-    L = _boost(w) @ _boost(v)
-    row, l00 = L[0, 1:], L[0, 0]
-    rotation = L[1:, 1:] - np.multiply.outer(L[1:, 0], row / (1 + l00))
-    return rotation.astype(float), (row / l00).astype(float)
+    rotation, u = _split(_boost(w) @ _boost(v))
+    return rotation.astype(float), u.astype(float)
 
 
 def aberrate_ray(L, a) -> np.ndarray:

@@ -39,7 +39,6 @@ from menhir.calculus import (
     velocity_of,
 )
 from menhir.cli import _ZERO_DIRECTION_SQ, _read_catalog
-from menhir.lorentz import _ORTHOCHRONOUS_ATOL, boost_matrix
 from menhir.parsing import _REPR_BELOW, _best_rational, format_number
 from menhir.reversions import (
     COINCIDENT_ATOL,
@@ -286,29 +285,7 @@ def test_simple_atol_margin_and_its_rotors_invert():
     assert 0 < accepted < 120
 
 
-# -- oracle, catalog, sampler, formatting, tiers -------------------------------------------
-
-def test_orthochronous_atol_margin():
-    """1 - L00 of boost products at every sample speed, in both orders:
-    random pairs, equal and opposite boosts (L00 = 1 exactly), and nearly
-    opposite pairs of equal and of nearly equal speed.  The rounding grows
-    like gamma_v gamma_w eps, so the margin is above MIN_MARGIN below the
-    stress tier's edge but under 10 at it, where `polar_decompose`
-    refuses no product yet; that thin margin is an open fault (see ROADMAP)."""
-    rng = np.random.default_rng(108)
-    worst = dict.fromkeys(SPEEDS, 0.0)
-    for speed in SPEEDS:
-        for _ in range(300):
-            n = int(rng.integers(1, 6))
-            v, w = opposite_pair(rng, n, speed, 1e-6)
-            for b in (unit_vector(rng, n) * speed, -v, w, w * rng.uniform(1.0 - 1e-9, 1.0)):
-                for L in (boost_matrix(b) @ boost_matrix(v), boost_matrix(v) @ boost_matrix(b)):
-                    worst[speed] = max(worst[speed], 1.0 - float(L[0, 0]))
-    margin = _record("_ORTHOCHRONOUS_ATOL", _ORTHOCHRONOUS_ATOL, max(worst.values()))
-    assert margin > 1.0
-    below_edge = max(x for speed, x in worst.items() if speed < SPEEDS[-1])
-    assert _ORTHOCHRONOUS_ATOL / below_edge >= MIN_MARGIN
-
+# -- catalog, sampler, formatting, tiers -----------------------------------------------
 
 def test_zero_direction_guard(tmp_path):
     """A guard: the smallest |row|^2 of a seeded catalog is far above it, a

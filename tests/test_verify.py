@@ -6,8 +6,12 @@ import pytest
 from menhir import verify
 from menhir.algebra import RESIDUE_BOUND, vector_embed, vector_part
 from menhir.calculus import compose_menhirs, menhir_of, thomas_rotation, velocity_of
-from menhir.lorentz import boost_matrix, polar_decompose
-from util import exact_polar_split, needs_extended_split
+from util import (
+    exact_polar_split,
+    needs_extended_split,
+    reference_boost_matrix,
+    reference_polar_decompose,
+)
 
 _TRIAL = verify.composition_trial
 
@@ -72,12 +76,12 @@ def test_stress_failure_of_key_1765266107_40_is_the_oracles():
     """Trial 40 of master seed 1765266107 (|v| = 0.9999983, |w| = 0.9999952)
     failed the stress tier's 1e-6 in the quaternion and clifford4 lanes, with
     a rotation error of 1.8e-6, while the trial's oracle was the float64
-    `polar_decompose(boost_matrix(w) @ boost_matrix(v))`.  That oracle still
-    misses a 50-digit polar split of L(w) L(v) by the whole 1.8e-6: its
-    `L @ boost_matrix(-u)` cancels entries of size gamma^2.  The menhir
-    velocity and rotation matrix are within 1e-13 of the 50-digit split, and
-    the trial, now split by `composition_split`, passes with errors within
-    1e-13 of the menhir side's own: the miss was the oracle's."""
+    split of the first version, `reference_polar_decompose` of the reference
+    boosts.  That oracle still misses a 50-digit polar split of L(w) L(v) by
+    the whole 1.8e-6: its `L @ B(-u)` cancels entries of size gamma^2.  The
+    menhir velocity and rotation matrix are within 1e-13 of the 50-digit
+    split, and the trial, now split by `composition_split`, passes with
+    errors within 1e-13 of the menhir side's own: the miss was the oracle's."""
     for key in ("quaternion", "clifford4"):
         algebra, n = verify.CONFIGS[key]
         v_err, r_err, v, w = verify.composition_trial(
@@ -96,6 +100,7 @@ def test_stress_failure_of_key_1765266107_40_is_the_oracles():
         assert abs(r_err - menhir_r_err) <= 1e-13
         assert verify.run_equivalence(key, 41, 1765266107, "stress", tolerance=1e-12).ok
 
-        rotation, _ = polar_decompose(boost_matrix(w) @ boost_matrix(v))
+        L = reference_boost_matrix(w) @ reference_boost_matrix(v)
+        rotation, _ = reference_polar_decompose(L)
         oracle_err = np.abs(rotation[1:, 1:] - r_exact).max()
         assert abs(oracle_err - 1.8e-6) <= 1e-7

@@ -7,11 +7,13 @@ built by sandwiching each basis vector.  The table-driven kernel in
 `menhir.algebra` is checked against them.  So are the closed-form Thomas
 angle, against the angle read from the trace of the rotation matrix, and the
 number formatting of `menhir.parsing`, against `Fraction.limit_denominator`.
-`reference_boost_matrix` freezes the oracle's boost as first written: the
-verify failure set depends on how it rounds near the light cone, so the
-package's version must stay bitwise equal to it.  `reference_read_catalog`
-is the row-by-row catalog reader that the bulk `cli._read_catalog` must match
-in labels, bitwise in stars and in its error messages.  The `exact_*` helpers
+`reference_boost_matrix` and `reference_polar_decompose` freeze the
+oracle's boost and float64 split as first written, the split a product with
+a third boost B(-u) that cancels entries of size gamma^2; the package's
+boost and closed-form split must be at least as close to the 50-digit
+references as they are.  `reference_read_catalog` is the row-by-row catalog
+reader that the bulk `cli._read_catalog` must match in labels, bitwise in
+stars and in its error messages.  The `exact_*` helpers
 redo a computation from the same float inputs in 50-digit mpmath, which
 they import when called, so only the tests that use them need it.  The
 comparison helpers `max_diff` and `allclose`, the parts `norm_sq` and
@@ -312,6 +314,15 @@ def reference_boost_matrix(v) -> np.ndarray:
     return L
 
 
+def reference_polar_decompose(L):
+    """`lorentz.polar_decompose` as first written, without its input checks:
+    u off the first row of L, and the rotation as the float64 product
+    L B(-u) with `reference_boost_matrix`.  Returns (rotation, u)."""
+    L = np.asarray(L, dtype=float)
+    u = L[0, 1:] / L[0, 0]
+    return L @ reference_boost_matrix(-u), u
+
+
 def reference_read_catalog(path: str):
     """`cli._read_catalog` as first written, one row at a time: each row is
     checked as it is read, so an error names the first bad row; the rows are
@@ -372,6 +383,15 @@ def _exact_boost(v):
         for j in range(n):
             L[1 + i, 1 + j] += k * v[i] * v[j]
     return L
+
+
+def exact_boost_matrix(v) -> np.ndarray:
+    """The boost by the float velocity v from a 50-digit computation,
+    rounded to a float array."""
+    import mpmath
+    with mpmath.workdps(EXACT_DIGITS):
+        L = _exact_boost(_exact(v))
+        return np.array(L.tolist(), dtype=float)
 
 
 def exact_polar_split(v, w):
