@@ -117,7 +117,7 @@ class Algebra:
     `_SPARSE_DIM` slots, and are None from there up."""
 
     __slots__ = ("kind", "n_gen", "dim", "_sign", "_xor", "parity_sign", "prefix", "conj_sign",
-                 "blade_names", "_models")
+                 "_models")
 
     def __init__(self, kind: str, n_gen: int):
         if kind not in ("real", "complex", "quaternion", "clifford"):
@@ -136,29 +136,18 @@ class Algebra:
             self._sign = self.parity_sign[self._xor & self.prefix[:, None]]
         # (-1)^(k(k+1)/2): + - - + repeating in the grade
         self.conj_sign = np.where(np.isin(grades % 4, (0, 3)), 1.0, -1.0)
-        self.blade_names = self._names()
         models = {
             "real": {1: [0]},
             "complex": {1: [0], 2: [0, 1]},
             "quaternion": {3: [1, 2, 3], 4: [0, 1, 2, 3]},  # imaginary or full
             "clifford": {n_gen: [1 << i for i in range(n_gen)]},
         }[kind]
-        self._models = {dim: np.array(slots) for dim, slots in models.items()}
-        for slots in self._models.values():
-            slots.flags.writeable = False
-
-    def _names(self):
-        if self.kind == "quaternion":
-            return ["1", "i", "j", "k"]
-        if self.kind == "complex":
-            return ["1", "i"]
-        if self.kind == "real":
-            return ["1"]
-        out = []
-        for mask in range(self.dim):
-            gens = [str(i + 1) for i in range(self.n_gen) if mask >> i & 1]
-            out.append("e" + "".join(gens) if gens else "1")
-        return out
+        # per model dimension: the model's slots and the slots off it
+        self._models = {}
+        for model_dim, slots in models.items():
+            on, off = np.array(slots), np.delete(np.arange(self.dim), slots)
+            on.flags.writeable = off.flags.writeable = False
+            self._models[model_dim] = on, off
 
     def __repr__(self):
         if self.kind == "clifford":
@@ -192,11 +181,20 @@ class Algebra:
         """Coefficient slots representing a vector of the given spatial
         dimension, as a shared read-only array."""
         try:
-            return self._models[model_dim]
+            return self._models[model_dim][0]
         except KeyError:
             raise UnsupportedDimensionError(
                 f"{self!r} has no {model_dim}-dimensional vector model"
             ) from None
+
+    def model_split(self, coeffs: np.ndarray, model_dim: int) -> tuple[np.ndarray, float]:
+        """(vector, residue): the `model_dim`-vector model slots of one
+        coefficient array, or of a stack of them along the last axis, and
+        the largest |coefficient| off those slots (0.0 when there is none,
+        NaN when one is NaN)."""
+        on, off = self.model_indices(model_dim), self._models[model_dim][1]
+        residue = np.maximum.reduce(np.abs(coeffs.take(off, axis=-1)), axis=None, initial=0.0)
+        return coeffs.take(on, axis=-1), float(residue)
 
     def default_model_dim(self) -> int:
         return {"real": 1, "complex": 2, "quaternion": 3, "clifford": self.n_gen}[self.kind]
@@ -267,7 +265,7 @@ class Element:
 
     Elements are immutable by convention.  `*` is the algebra product, `/` is
     right division p q^{-1} (the fraction convention used throughout), and
-    plain numbers coerce to scalars of the same algebra.
+    plain numbers coerce to scalars of the same algebra; `2 / x` is a TypeError.
 
     The constructor stores `coeffs` as given, unchecked: it must be a float64
     array of shape (algebra.dim,).  Build elements from outside data with
@@ -347,11 +345,6 @@ class Element:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.algebra.scalar(float(other)) * self.inverse()
-        return NotImplemented
-
     # -- involutions and norms ------------------------------------------------
 
     def conjugate(self) -> "Element":
@@ -380,11 +373,9 @@ class Element:
         return Element(self.algebra, conj.coeffs / s)
 
     def __repr__(self):
-        terms = []
-        for c, name in zip(self.coeffs, self.algebra.blade_names):
-            if c != 0.0:
-                terms.append(f"{c:g}{'' if name == '1' else name}")
-        return "<" + (" + ".join(terms) if terms else "0") + f" in {self.algebra!r}>"
+        from .parsing import format_element  # parsing imports this module
+
+        return f"<{format_element(self)} in {self.algebra!r}>"
 
 
 def vector_embed(v, algebra: Algebra) -> Element:
@@ -402,9 +393,7 @@ def vector_part(x: Element, model_dim: int, atol: float) -> np.ndarray:
     Raises if coefficients outside the model exceed `atol` (the element is not
     a vector of the requested kind).
     """
-    idx = x.algebra.model_indices(model_dim)
-    rest = x.coeffs.copy()
-    rest[idx] = 0.0
-    if np.abs(rest).max() > atol:
+    vector, residue = x.algebra.model_split(x.coeffs, model_dim)
+    if residue > atol:
         raise ValueError(f"element is not a {model_dim}-vector: {x!r}")
-    return x.coeffs[idx]
+    return vector

@@ -120,14 +120,11 @@ def _on_model(composite: Element, alpha: Element) -> Element:
     above it.  Its velocity, a positive multiple of it, is on the model too."""
     algebra = composite.algebra
     n = algebra.default_model_dim()
-    idx = algebra.model_indices(n)
-    rest = composite.coeffs.copy()
-    rest[idx] = 0.0
-    residue = np.abs(rest).max()
+    vector, residue = algebra.model_split(composite.coeffs, n)
     if residue > RESIDUE_BOUND and residue * alpha.norm() > RESIDUE_BOUND:
         raise OffModelError(f"composite menhir is off the {n}-vector model by more "
                             f"than the rounding bound {RESIDUE_BOUND!r} / |alpha|")
-    return vector_embed(composite.coeffs[idx], algebra)
+    return vector_embed(vector, algebra)
 
 
 def _rotation_payload(descriptor):

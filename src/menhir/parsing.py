@@ -20,7 +20,7 @@ only; the text is what the exact search alone would print.  A nonzero value
 below 5e-7 in magnitude (rounding residues, subnormals) always prints as its
 repr: no such p/q but 0 lies within 4 ulps of it.  Zero coefficients print as
 "0" without either step, which matters for the 2^n coefficients of a Clifford
-element.
+element.  NaN and +-inf print as their repr, which does not parse back.
 """
 
 from __future__ import annotations
@@ -238,13 +238,13 @@ def _far_from_small_rationals(x: float) -> bool:
 
 
 def format_number(x: float) -> str:
-    """Text for a finite float: an integer when x is integral, a small rational
-    when one sits within 4 ulps, otherwise the full repr.  Either form parses
-    back to within 4 ulps."""
+    """Text for a float: an integer when x is integral, a small rational when
+    one sits within 4 ulps, otherwise the full repr.  Either form of a finite
+    x parses back to within 4 ulps."""
     x = float(x)
     if x.is_integer():
         return str(int(x))
-    if abs(x) < _REPR_BELOW or _far_from_small_rationals(abs(x)):
+    if abs(x) < _REPR_BELOW or not abs(x) < math.inf or _far_from_small_rationals(abs(x)):
         return repr(x)
     p, q = _best_rational(x)
     if abs(p / q - x) <= _PRINT_ULPS * math.ulp(x):

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra, COMPLEX, QUATERNION, REAL, clifford, vector_embed
-from .calculus import (
-    MoebiusMatrix,
-    compose_menhirs,
-    menhir_of,
-    moebius_apply,
-    thomas_rotation,
-    velocity_of,
-)
+from .calculus import MoebiusMatrix, compose_velocities, menhir_of, moebius_apply
 from .lorentz import aberrate_ray, boost_matrix, composition_split
 from .reversions import boost_star_shift
 
@@ -80,18 +73,11 @@ def composition_trial(rng: np.random.Generator, key: str, tier: str = "normal"):
     v = sample_velocity(rng, n, lo, hi)
     w = sample_velocity(rng, n, lo, hi)
 
-    # bitwise menhir_of(vector_embed(v, algebra)), one Element operation fewer
-    ev = vector_embed(menhir_of(v), algebra)
-    ew = vector_embed(menhir_of(w), algebra)
-    u = velocity_of(compose_menhirs(ev, ew)).coeffs
-    spatial = thomas_rotation(ev, ew).matrix(n)
-
+    u, thomas = compose_velocities(vector_embed(v, algebra), vector_embed(w, algebra))
+    u_menhir, residue = algebra.model_split(u.coeffs, n)
     rotation, u_oracle = composition_split(v, w)
-    idx = algebra.model_indices(n)
-    u_menhir = u[idx]
-    u[idx] = 0.0  # what is left lies off the model
-    v_err = max(float(np.abs(u_menhir - u_oracle).max()), float(np.abs(u).max()))
-    r_err = float(np.abs(spatial - rotation).max())
+    v_err = max(float(np.abs(u_menhir - u_oracle).max()), residue)
+    r_err = float(np.abs(thomas.matrix(n) - rotation).max())
     return v_err, r_err, v, w
 
 
@@ -103,16 +89,14 @@ def aberration_spread(v: np.ndarray, stars: np.ndarray, algebra: Algebra) -> flo
     by_word = boost_star_shift(stars, v)
     matrix = MoebiusMatrix.boost(menhir_of(vector_embed(v, algebra)))
     images = np.array([moebius_apply(matrix, vector_embed(a, algebra)).coeffs for a in stars])
-    idx = algebra.model_indices(v.size)
-    by_moebius = images[:, idx]
-    images[:, idx] = 0.0  # what is left lies off the model
+    by_moebius, residue = algebra.model_split(images, v.size)
     L = boost_matrix(v)
     by_oracle = np.array([aberrate_ray(L, a) for a in stars])
     return max(
         float(np.abs(by_word - by_moebius).max()),
         float(np.abs(by_word - by_oracle).max()),
         float(np.abs(by_moebius - by_oracle).max()),
-        float(np.abs(images).max()),
+        residue,
     )
 
 

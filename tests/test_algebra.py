@@ -240,6 +240,33 @@ def test_vector_part_round_trip():
         vector_part(QUATERNION.element([0.5, 0.1, 0, 0]), 3, RESIDUE_BOUND)
 
 
+def _reference_model_split(coeffs, algebra, n):
+    """The model slots and the largest |coefficient| off them, by copying and
+    zeroing the model slots."""
+    idx = algebra.model_indices(n)
+    rest = coeffs.copy()
+    rest[..., idx] = 0.0
+    return coeffs[..., idx], float(np.abs(rest).max())
+
+
+def test_model_split_matches_copy_and_zero():
+    rng = np.random.default_rng(11)
+    models = [(REAL, 1), (COMPLEX, 1), (COMPLEX, 2), (QUATERNION, 3), (QUATERNION, 4),
+              (clifford(3), 3), (clifford(8), 8)]
+    for algebra, n in models:
+        rows = rng.standard_normal((5, algebra.dim)) * rng.integers(0, 2, (5, algebra.dim))
+        rows[1, algebra.model_indices(n)[0]] = math.nan  # NaN on the model: not a residue
+        for coeffs in (rows, rows[0], rows[1]):
+            vector, residue = algebra.model_split(coeffs, n)
+            expected_vector, expected_residue = _reference_model_split(coeffs, algebra, n)
+            assert np.array_equal(vector, expected_vector, equal_nan=True)
+            assert residue == expected_residue and type(residue) is float
+    off = QUATERNION.element([math.nan, 0.1, 0.2, 0.3]).coeffs
+    assert math.isnan(QUATERNION.model_split(off, 3)[1])
+    with pytest.raises(UnsupportedDimensionError):
+        COMPLEX.model_split(np.zeros(2), 3)
+
+
 def test_algebra_mismatch():
     with pytest.raises(AlgebraMismatchError):
         COMPLEX.one * QUATERNION.one
@@ -364,7 +391,9 @@ def test_table_free_algebras_hold_small_arrays():
     for n in (8, 9, 10):
         algebra = clifford(n)
         arrays = [getattr(algebra, name) for name in Algebra.__slots__]
-        arrays = [x for x in arrays if isinstance(x, np.ndarray)] + list(algebra._models.values())
+        # each vector model's slots and the slots off it
+        arrays = [x for x in arrays if isinstance(x, np.ndarray)] + [
+            slots for pair in algebra._models.values() for slots in pair]
         assert max(x.size for x in arrays) <= algebra.dim
         held += sum(x.nbytes for x in arrays)
     assert held < 64 * 1024
@@ -476,3 +505,5 @@ def test_ring_operations_mixing_scalars_hypothesis(data):
         assert isinstance(result, Element) and result.algebra == algebra
         assert result.coeffs.dtype == np.float64 and result.coeffs.shape == (algebra.dim,)
         assert np.array_equal(result.coeffs, expected)
+    with pytest.raises(TypeError):  # a number is no dividend: write q.inverse() * c
+        c / q

@@ -61,6 +61,18 @@ def test_compose_json_round_trip(runner):
     assert max_diff(remenhir, stated) <= 1e-12
 
 
+@pytest.mark.parametrize("args", [
+    ["-a", "complex", "-v", "4/5", "-w", "3i/5"],
+    ["-a", "clifford3", "-v", "[0.1,0.2,0.3]", "-w", "[-0.3,0.1,0.2]"],
+])
+def test_compose_text_lines_carry_the_json_values(runner, args):
+    as_json = runner.invoke(main, ["compose", *args])
+    as_text = runner.invoke(main, ["compose", *args, "--format", "text"])
+    assert as_json.exit_code == as_text.exit_code == 0
+    payload = json.loads(as_json.stdout)
+    assert as_text.stdout.splitlines() == [f"{key} = {value}" for key, value in payload.items()]
+
+
 def test_compose_real_case(runner):
     result = runner.invoke(main, ["compose", "-a", "real", "-v", "0.5", "-w", "0.5"])
     payload = json.loads(result.output)
@@ -395,6 +407,26 @@ def test_aberrate_one_dimensional_catalog(runner, tmp_path):
         _, before, after = line.split(",")
         assert float(before) == target
         assert float(after) == pytest.approx(target, abs=1e-12)
+
+
+def test_aberrate_element_text_velocity_in_higher_dimensions(runner, tmp_path):
+    # bare element text is read in the catalog dimension's algebra
+    rng = np.random.default_rng(12)
+    for n in (3, 5):
+        rows = rng.standard_normal((4, n)).tolist()
+        (tmp_path / f"stars{n}.csv").write_text("".join(",".join(map(repr, r)) + "\n" for r in rows))
+
+    def run(v, n):
+        return runner.invoke(main, ["aberrate", "-v", v, "--catalog", str(tmp_path / f"stars{n}.csv"),
+                                    "--out", "-"])
+
+    by_text, by_list = run("0.3i+0.2j-0.5k", 3), run("[0.3,0.2,-0.5]", 3)
+    assert by_text.exit_code == by_list.exit_code == 0
+    assert by_text.stdout == by_list.stdout
+    for v, n, message in (("[0.3,0.2]", 3, "expected 3 components, got 2"),
+                          ("0.3", 5, "'0.3' is not a 5-vector velocity")):
+        result = run(v, n)
+        assert result.exit_code == 2 and message in result.stderr
 
 
 def test_catalog_errors_name_the_first_bad_row(runner, tmp_path):

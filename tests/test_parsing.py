@@ -92,6 +92,12 @@ def test_format_number_rationals():
     assert format_number(0.36000000000000004) == "9/25"  # one ulp off the rational
     assert format_number(2.0) == "2"
     assert format_number(0.123456789123) == repr(0.123456789123)
+    # non-finite values print as their repr (the screen's loop never ended on
+    # them), which the grammar does not read back
+    for x in (math.nan, math.inf, -math.inf):
+        assert format_number(x) == repr(x)
+        with pytest.raises(ElementParseError):
+            parse_number(format_number(x))
 
 
 def test_format_round_trip():
@@ -102,6 +108,7 @@ def test_format_round_trip():
             text = format_element(x)
             back = parse_element(text, algebra)
             assert max_diff(back, x) <= 1e-12
+            assert repr(x) == f"<{text} in {algebra!r}>"
 
 
 def test_format_examples():

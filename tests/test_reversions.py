@@ -225,6 +225,10 @@ def test_find_conjugate_point_examples():
     assert np.abs(b2).max() <= 1e-9
     # (a, a) is the identity, and so is only (a_new, a_new)
     assert np.abs(find_conjugate_point(a, a, b) - b).max() <= 1e-12
+    # a == b == a_new: nothing to slide
+    assert np.array_equal(find_conjugate_point(a, a, a), a)
+    with pytest.raises(ValueError, match="replacement point must lie on line"):
+        find_conjugate_point(a, b, np.array([0.0, 0.0]))
 
 
 def test_find_conjugate_point_random_verified():
@@ -324,9 +328,18 @@ def test_construct_rotation_matches_thomas_angle():
 
 def test_construct_rotation_collinear_is_trivial():
     e = np.array([0.5, 0.0])
-    a, b, angle = construct_rotation(e, e * 0.4)
+    trace = ConstructionTrace()
+    a, b, angle = construct_rotation(e, e * 0.4, trace)
     assert angle == 0.0
     assert np.array_equal(a, b)
+    assert trace.points == [("A", (1.0, 0.0)), ("B", (1.0, 0.0))] and not trace.segments
+
+
+def test_planar_constructions_refuse_other_dimensions():
+    e, f = np.array([0.5, 0.0, 0.0]), np.array([0.0, 0.3, 0.0])
+    for construct in (construct_rotation, construct_composite_menhir):
+        with pytest.raises(ValueError, match="planar construction requires 2-vectors"):
+            construct(e, f)
 
 
 def test_constructions_do_not_use_the_algebra_layer(monkeypatch):

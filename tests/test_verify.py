@@ -63,6 +63,15 @@ def test_tolerance_must_be_finite_and_non_negative():
     assert verify.run_equivalence("complex", 1, 42, tolerance=0.0).trials == 1
 
 
+def test_run_rejects_zero_trials_and_unknown_names():
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify.run_equivalence("complex", 0, 42)
+    with pytest.raises(ValueError, match="unknown configuration 'octonion'"):
+        verify.run_equivalence("octonion", 1, 42)
+    with pytest.raises(ValueError, match="unknown tier 'gentle'"):
+        verify.run_equivalence("complex", 1, 42, "gentle")
+
+
 def test_failure_key_replays_its_trial():
     report = verify.run_equivalence("clifford3", 5, 42, tolerance=0.0)
     assert len(report.failures) == 5
