@@ -47,7 +47,6 @@ from .lorentz import (
     axis_projection_shift,
     boost_matrix,
     composition_split,
-    polar_decompose,
 )
 from .reversions import (
     ConstructionError,

@@ -69,6 +69,14 @@ __all__ = [
 
 # 2**10 blade coefficients; far beyond the desk scale this package targets.
 _MAX_GENERATORS = 10
+#: per kind: its generator counts (Cliff(0) would be the real line again), and
+#: of n generators, its vector models' slots by model dimension, default first
+_KINDS = {
+    "real": (range(1), lambda n: {1: [0]}),
+    "complex": (range(1, 2), lambda n: {2: [0, 1], 1: [0]}),
+    "quaternion": (range(2, 3), lambda n: {3: [1, 2, 3], 4: [0, 1, 2, 3]}),  # imaginary or full
+    "clifford": (range(1, _MAX_GENERATORS + 1), lambda n: {n: [1 << i for i in range(n)]}),
+}
 
 # Algebras of at least this many slots build no sign or xor table and take
 # products and norms over nonzero slots only.  On the calculus' sparse
@@ -120,10 +128,11 @@ class Algebra:
                  "_models")
 
     def __init__(self, kind: str, n_gen: int):
-        if kind not in ("real", "complex", "quaternion", "clifford"):
+        if kind not in _KINDS:
             raise ValueError(f"unknown algebra kind {kind!r}")
-        if not 0 <= n_gen <= _MAX_GENERATORS:
-            raise UnsupportedDimensionError(f"at most {_MAX_GENERATORS} generators supported")
+        generators, models = _KINDS[kind]
+        if n_gen not in generators:
+            raise UnsupportedDimensionError(f"no supported {kind} algebra has {n_gen} generators")
         self.kind = kind
         self.n_gen = n_gen
         self.dim = 1 << n_gen
@@ -136,15 +145,9 @@ class Algebra:
             self._sign = self.parity_sign[self._xor & self.prefix[:, None]]
         # (-1)^(k(k+1)/2): + - - + repeating in the grade
         self.conj_sign = np.where(np.isin(grades % 4, (0, 3)), 1.0, -1.0)
-        models = {
-            "real": {1: [0]},
-            "complex": {1: [0], 2: [0, 1]},
-            "quaternion": {3: [1, 2, 3], 4: [0, 1, 2, 3]},  # imaginary or full
-            "clifford": {n_gen: [1 << i for i in range(n_gen)]},
-        }[kind]
         # per model dimension: the model's slots and the slots off it
         self._models = {}
-        for model_dim, slots in models.items():
+        for model_dim, slots in models(n_gen).items():
             on, off = np.array(slots), np.delete(np.arange(self.dim), slots)
             on.flags.writeable = off.flags.writeable = False
             self._models[model_dim] = on, off
@@ -197,7 +200,7 @@ class Algebra:
         return coeffs.take(on, axis=-1), float(residue)
 
     def default_model_dim(self) -> int:
-        return {"real": 1, "complex": 2, "quaternion": 3, "clifford": self.n_gen}[self.kind]
+        return next(iter(self._models))
 
     # -- coefficient-level product ------------------------------------------
 
@@ -240,8 +243,6 @@ QUATERNION = Algebra("quaternion", 2)
 @functools.lru_cache(maxsize=None)
 def clifford(n: int) -> Algebra:
     """The universal Clifford algebra of Euclidean R^n, generators squaring to -1."""
-    if n < 1:
-        raise UnsupportedDimensionError("clifford algebra needs at least one generator")
     return Algebra("clifford", n)
 
 
@@ -394,6 +395,6 @@ def vector_part(x: Element, model_dim: int, atol: float) -> np.ndarray:
     a vector of the requested kind).
     """
     vector, residue = x.algebra.model_split(x.coeffs, model_dim)
-    if residue > atol:
+    if not residue <= atol:  # a NaN residue raises too
         raise ValueError(f"element is not a {model_dim}-vector: {x!r}")
     return vector

@@ -43,6 +43,7 @@ from .reversions import (
     boost_star_shift,
     construct_composite_menhir,
     two_boost_fixed_points,
+    two_boost_word,
 )
 from .svgplot import render_starfield
 from .verify import CONFIGS, TIERS, aberration_spread, run_equivalence, trial_tolerance
@@ -116,12 +117,13 @@ def _on_model(composite: Element, alpha: Element) -> Element:
     """The composite menhir on the algebra's default vector model, its model
     slots bit for bit.  The part it leaves out is rounding residue, which
     grows like 1/|alpha|, alpha = 1 + e2 conj(e1): residue * |alpha| above
-    RESIDUE_BOUND raises OffModelError, |alpha| computed only for a residue
-    above it.  Its velocity, a positive multiple of it, is on the model too."""
+    RESIDUE_BOUND, or NaN, raises OffModelError, |alpha| computed only for a
+    residue above it or NaN.  Its velocity, a positive multiple of it, is on
+    the model too."""
     algebra = composite.algebra
     n = algebra.default_model_dim()
     vector, residue = algebra.model_split(composite.coeffs, n)
-    if residue > RESIDUE_BOUND and residue * alpha.norm() > RESIDUE_BOUND:
+    if not residue <= RESIDUE_BOUND and not residue * alpha.norm() <= RESIDUE_BOUND:
         raise OffModelError(f"composite menhir is off the {n}-vector model by more "
                             f"than the rounding bound {RESIDUE_BOUND!r} / |alpha|")
     return vector_embed(vector, algebra)
@@ -372,7 +374,7 @@ def starfield(v_text, w_text, count, fmt, out_path):
     else:
         ew = menhir_of(w)
         menhirs.append(ew)
-        shifted = apply_word(stars, [np.zeros(n), ev, np.zeros(n), ew])
+        shifted = apply_word(stars, two_boost_word(ev, ew))
         if n == 2:
             fixed, trace = _two_boost_overlays(ev, ew)
 

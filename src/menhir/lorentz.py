@@ -3,6 +3,8 @@
 Signature convention (+, -, ..., -); matrices act on column vectors (t, x).
 A boost by velocity v is the hyperbolic rotation of rapidity atanh|v| in the
 (t, v-hat) plane, realized directly from gamma rather than by exponentiation.
+`composition_split` is the package's two-boost oracle; the float64
+`polar_decompose` is benchmark-only and not exported.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ __all__ = [
     "axis_projection_shift",
     "boost_matrix",
     "composition_split",
-    "polar_decompose",
 ]
 
 #: float type of `composition_split`: long double, 63 mantissa bits on x86
@@ -64,7 +65,9 @@ def polar_decompose(L):
     """Split an orthochronous proper Lorentz matrix as rotation @ boost, in
     float64: L = R B(u) with R fixing e0, u read off the first row
     e0^T L = (gamma, gamma u).  Returns (rotation, velocity).  L00 >= 1 or
-    L00 <= -1 in a Lorentz matrix, so its sign tells them apart exactly."""
+    L00 <= -1 in a Lorentz matrix, so its sign tells them apart exactly.
+    Benchmark-only: it stays for the benchmark's compose gate and span table
+    until a benchmark change moves that gate to `composition_split`."""
     L = np.asarray(L, dtype=float)
     if not L[0, 0] > 0:
         raise ValueError("matrix is not orthochronous")

@@ -110,11 +110,11 @@ def two_boost_word(e, f) -> list:
     return [-e, f]
 
 
-def collinear(points, atol: float = COLLINEAR_ATOL) -> bool:
+def collinear(points) -> bool:
     pts = np.asarray(points, dtype=float)
     centered = pts - pts.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
-    return bool(s.size < 2 or s[1] <= atol * max(1.0, s[0]))
+    return bool(s.size < 2 or s[1] <= COLLINEAR_ATOL * max(1.0, s[0]))
 
 
 def _sphere_samples(n: int, count: int) -> np.ndarray:

@@ -76,7 +76,8 @@ def composition_trial(rng: np.random.Generator, key: str, tier: str = "normal"):
     u, thomas = compose_velocities(vector_embed(v, algebra), vector_embed(w, algebra))
     u_menhir, residue = algebra.model_split(u.coeffs, n)
     rotation, u_oracle = composition_split(v, w)
-    v_err = max(float(np.abs(u_menhir - u_oracle).max()), residue)
+    diff = float(np.abs(u_menhir - u_oracle).max())
+    v_err = max(diff, residue) if residue == residue else residue  # a NaN residue stays
     r_err = float(np.abs(thomas.matrix(n) - rotation).max())
     return v_err, r_err, v, w
 
@@ -85,19 +86,19 @@ def aberration_spread(v: np.ndarray, stars: np.ndarray, algebra: Algebra) -> flo
     """Three-way star-shift comparison over a batch of stars (rows) boosted by v:
     the largest gap between the reversion word, the Moebius map in `algebra`
     and the null-ray oracle, or the Moebius images' largest coefficient off
-    the model if that is larger."""
+    the model if that is larger; NaN if any of them is NaN."""
     by_word = boost_star_shift(stars, v)
     matrix = MoebiusMatrix.boost(menhir_of(vector_embed(v, algebra)))
     images = np.array([moebius_apply(matrix, vector_embed(a, algebra)).coeffs for a in stars])
     by_moebius, residue = algebra.model_split(images, v.size)
     L = boost_matrix(v)
     by_oracle = np.array([aberrate_ray(L, a) for a in stars])
-    return max(
-        float(np.abs(by_word - by_moebius).max()),
-        float(np.abs(by_word - by_oracle).max()),
-        float(np.abs(by_moebius - by_oracle).max()),
+    return float(np.max([
+        np.abs(by_word - by_moebius).max(),
+        np.abs(by_word - by_oracle).max(),
+        np.abs(by_moebius - by_oracle).max(),
         residue,
-    )
+    ]))
 
 
 @dataclass

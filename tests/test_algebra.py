@@ -238,6 +238,8 @@ def test_vector_part_round_trip():
         assert np.allclose(vector_part(vector_embed(v, algebra), n, RESIDUE_BOUND), v)
     with pytest.raises(ValueError):
         vector_part(QUATERNION.element([0.5, 0.1, 0, 0]), 3, RESIDUE_BOUND)
+    with pytest.raises(ValueError):  # a NaN off the model is not within any bound
+        vector_part(QUATERNION.element([math.nan, 0.1, 0.2, 0.3]), 3, 0.0)
 
 
 def _reference_model_split(coeffs, algebra, n):
@@ -265,6 +267,29 @@ def test_model_split_matches_copy_and_zero():
     assert math.isnan(QUATERNION.model_split(off, 3)[1])
     with pytest.raises(UnsupportedDimensionError):
         COMPLEX.model_split(np.zeros(2), 3)
+
+
+def test_constructor_builds_only_the_supported_algebras():
+    # each division algebra has one generator count, clifford 1 to 10
+    for kind, n_gen in (("real", 3), ("complex", 5), ("quaternion", 0), ("quaternion", 1),
+                        ("clifford", 0), ("clifford", 11), ("real", -1)):
+        with pytest.raises(UnsupportedDimensionError, match=f"{kind} algebra has {n_gen} "):
+            Algebra(kind, n_gen)
+    with pytest.raises(ValueError, match="unknown algebra kind 'octonion'"):
+        Algebra("octonion", 3)
+    with pytest.raises(UnsupportedDimensionError):
+        clifford(0)
+    for kind, n_gen in (("real", 0), ("complex", 1), ("quaternion", 2), ("clifford", 1),
+                        ("clifford", 10)):
+        assert Algebra(kind, n_gen).dim == 1 << n_gen
+
+
+def test_operators_refuse_foreign_operands():
+    e = COMPLEX.element([0.5, 0.25])
+    for operation in (lambda: e + "x", lambda: "x" - e, lambda: e * None, lambda: e / "x",
+                      lambda: [1] * e, lambda: e - None):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_algebra_mismatch():

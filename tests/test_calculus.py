@@ -184,6 +184,12 @@ def test_noncommutative():
                     MoebiusMatrix.boost(b) @ MoebiusMatrix.boost(a)) > 1e-3
 
 
+def test_moebius_matrix_repr_prints_its_entries_in_the_element_grammar():
+    m = MoebiusMatrix.boost(QUATERNION.element([0, 0.5, 0.25, 0]))
+    assert repr(m) == ("[[<1 in QUATERNION>, <1/2i+1/4j in QUATERNION>], "
+                       "[<-1/2i-1/4j in QUATERNION>, <1 in QUATERNION>]]")
+
+
 def test_collinear_thomas_rotation_trivial():
     rng = np.random.default_rng(16)
     for _ in range(100):

@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menhir import lorentz
-from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, Element, vector_embed
+from menhir.algebra import COMPLEX, QUATERNION, RESIDUE_BOUND, Algebra, Element, vector_embed
 from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_of, velocity_of
-from menhir.cli import _read_catalog, _shift_table, main
+from menhir.cli import OffModelError, _on_model, _read_catalog, _shift_table, main
 from menhir.lorentz import axis_projection_shift
 from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
-from menhir.reversions import DegenerateConstructionWarning, boost_star_shift
+from menhir.reversions import DegenerateConstructionWarning, apply_word, boost_star_shift, two_boost_word
 from menhir.verify import TIERS
 
 from util import (ball_vector, max_diff, needs_extended_split, reference_format_element,
@@ -303,6 +303,12 @@ def test_compose_off_model_composite_is_one_clean_error(runner, monkeypatch):
         assert result.exit_code == 0, (tag, result.output)
         monkeypatch.undo()
         assert result.output == runner.invoke(main, args).output
+
+
+def test_nan_off_the_model_is_off_the_model():
+    # NaN > RESIDUE_BOUND is false, so the bound is tested as `not <=`
+    with pytest.raises(OffModelError):
+        _on_model(QUATERNION.element([math.nan, 0.1, 0.2, 0.3]), QUATERNION.one)
 
 
 def test_compose_near_the_edge_sizes_the_residue_by_alpha(runner):
@@ -700,6 +706,37 @@ def test_starfield_two_boosts_near_the_edge(runner):
                      for line in result.stdout.splitlines()[1:]])
     assert rows.shape == (12, 4)
     assert np.abs(np.linalg.norm(rows[:, 2:], axis=1) - 1.0).max() <= 1e-8
+
+
+@pytest.mark.parametrize("v, w, count, sphere", [
+    ([0.5, 0.0], [0.0, 1 / 3], 12, 2e-15),
+    ([0.4, -0.3], [-0.2, 0.6], 16, 2e-15),
+    ([0.9, 0.0], [0.0, 0.99], 24, 5e-15),
+    ([0.3, 0.3], [-0.6, 0.2], 64, 2.5e-15),
+    ([0.1, 0.2, 0.3], [0.4, -0.2, 0.1], 64, 3.5e-15),
+    ([0.0, 0.0, 0.9], [0.95, 0.0, 0.0], 32, 2e-15),
+    ([0.3, -0.1, 0.2, 0.5], [0.1, 0.6, -0.2, 0.3], 32, 2e-15),
+])
+def test_starfield_two_boosts_are_the_two_letter_word(runner, v, w, count, sphere):
+    """The CSV rows are `apply_word(stars, two_boost_word(e, f))` bit for bit.
+    The four-letter word (origin, e, origin, f) of the same boosts lands
+    within 1e-13 of them.  The rows leave the unit sphere by at most
+    `sphere`, 2e-15 or the case's measured gap (2.4e-15, 3.3e-15, 4.7e-15)
+    rounded up; the four-letter word leaves it by 6e-15 to 2.6e-14."""
+    def text(x):
+        return "[" + ",".join(map(repr, x)) + "]"
+
+    result = runner.invoke(main, ["starfield", "-v", text(v), "--w", text(w), "--count", str(count),
+                                  "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    rows = np.array([[float(x) for x in line.split(",")[1:]] for line in result.stdout.splitlines()[1:]])
+    n = len(v)
+    stars, shifted = rows[:, :n], rows[:, n:]
+    e, f = menhir_of(np.array(v)), menhir_of(np.array(w))
+    assert np.array_equal(shifted, apply_word(stars, two_boost_word(e, f)))
+    four_letters = apply_word(stars, [np.zeros(n), e, np.zeros(n), f])
+    assert np.abs(shifted - four_letters).max() <= 1e-13
+    assert np.abs(np.linalg.norm(shifted, axis=1) - 1.0).max() <= sphere
 
 
 def test_starfield_unsupported_dimension(runner):

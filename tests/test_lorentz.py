@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from menhir.calculus import SuperluminalError, compose_velocities, thomas_rotation, menhir_of
 from menhir.algebra import COMPLEX, RESIDUE_BOUND, vector_embed, vector_part
+import menhir
 from menhir import lorentz
 from menhir.lorentz import (
     aberrate_ray,
@@ -144,6 +146,21 @@ def _split_errors(pairs):
         rotation, u = reference_polar_decompose(reference_boost_matrix(w) @ reference_boost_matrix(v))
         worst_reference = max(worst_reference, gap(rotation[1:, 1:], u))
     return float(worst_split), float(worst_polar), float(worst_reference)
+
+
+def test_polar_decompose_is_benchmark_only():
+    """The package's two-boost oracle is `composition_split`.  The float64
+    `polar_decompose` is not exported, and of the package and the demos only
+    `lorentz.py` names it; the benchmark's span of it is checked in
+    `test_bench_contract.py`."""
+    assert not hasattr(menhir, "polar_decompose")
+    assert "polar_decompose" not in lorentz.__all__
+    root = Path(__file__).resolve().parents[1]
+    files = sorted([*root.glob("demos/**/*.py"), *root.glob("src/menhir/**/*.py")])
+    assert len(files) > 10
+    naming = [path.relative_to(root).as_posix() for path in files
+              if "polar_decompose" in path.read_text(encoding="utf-8")]
+    assert naming == ["src/menhir/lorentz.py"]
 
 
 @needs_extended_split

@@ -68,7 +68,7 @@ def test_revert_involution_and_collinearity():
         image = revert(a, p)
         assert abs(np.linalg.norm(image) - 1.0) <= 1e-12
         assert np.abs(revert(image, p) - a).max() <= 1e-12
-        assert collinear([p, a, image], atol=1e-12)
+        assert collinear([p, a, image])
 
 
 def test_revert_one_expression_for_a_point_and_a_batch():

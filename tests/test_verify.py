@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from menhir import verify
-from menhir.algebra import RESIDUE_BOUND, vector_embed, vector_part
+from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, vector_embed, vector_part
 from menhir.calculus import compose_menhirs, menhir_of, thomas_rotation, velocity_of
 from util import (
     exact_polar_split,
@@ -54,6 +54,19 @@ def test_nan_error_fails_its_trial(monkeypatch):
         report = verify.run_equivalence(key, 3, 42)
         assert not report.ok and [k[1] for k, _, _ in report.failures] == [0]
         assert math.isnan(getattr(report, field))
+
+
+def test_nan_residue_is_kept(monkeypatch):
+    # a NaN off the velocity model fails its trial and is the reported max,
+    # and the three-way spread is NaN; `max(x, nan)` would have kept x
+    split = Algebra.model_split
+    monkeypatch.setattr(Algebra, "model_split",
+                        lambda self, coeffs, n: (split(self, coeffs, n)[0], math.nan))
+    report = verify.run_equivalence("clifford3", 3, 42)
+    assert [k[1] for k, _, _ in report.failures] == [0, 1, 2]
+    assert math.isnan(report.max_velocity_error)
+    stars = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert math.isnan(verify.aberration_spread(np.array([0.6, 0.0]), stars, COMPLEX))
 
 
 def test_tolerance_must_be_finite_and_non_negative():
