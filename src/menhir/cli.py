@@ -19,6 +19,7 @@ from itertools import compress
 
 import click
 import numpy as np
+import orjson
 
 from . import lorentz
 from .algebra import (QUATERNION, RESIDUE_BOUND, Element, UnsupportedDimensionError,
@@ -51,6 +52,10 @@ from .verify import CONFIGS, TIERS, aberration_spread, run_equivalence, trial_to
 
 #: a catalog row with |row|^2 below this is a zero direction, not a star
 _ZERO_DIRECTION_SQ = 1e-24
+
+#: orjson writes a float with |x| in [lo, hi) as repr does; below lo, from hi
+#: up and for nan and inf its notation differs (0.00001, 1e16, null)
+_ORJSON_AS_REPR = (1e-4, 1e16)
 
 
 class OffModelError(ArithmeticError):
@@ -275,14 +280,30 @@ def _read_catalog(path: str):
     return labels, stars / norms[:, None]
 
 
+def _csv(header: str, labels, table: np.ndarray) -> str:
+    """CSV text: the header line, then a line per row of the float table,
+    its label first unless labels is None, every number as repr writes it.
+    orjson prints the whole table at once; a row holding a number outside
+    `_ORJSON_AS_REPR` is joined from repr instead."""
+    table = np.ascontiguousarray(table, dtype=float)
+    lo, hi = _ORJSON_AS_REPR
+    magnitude = np.abs(table)
+    outside = ~((magnitude >= lo) & (magnitude < hi)).all(axis=1)
+    # "[[x,y],[z,w]]" -> "x,y", "z,w"
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
+    rows = text.split("],[") if len(table) else []
+    for i in np.flatnonzero(outside).tolist():
+        rows[i] = ",".join(map(repr, table[i].tolist()))
+    if labels is not None:
+        rows = map(",".join, zip(labels, rows))
+    return "\n".join([header, *rows]) + "\n"
+
+
 def _shift_table(labels, stars: np.ndarray, shifted: np.ndarray) -> str:
     """CSV schema v1: label, in_1..in_n, out_1..out_n."""
     n = stars.shape[1]
     columns = [f"in_{k+1}" for k in range(n)] + [f"out_{k+1}" for k in range(n)]
-    lines = [",".join(["label"] + columns)]
-    for label, a, s in zip(labels, stars.tolist(), shifted.tolist()):
-        lines.append(f"{label}," + ",".join(map(repr, a + s)))
-    return "\n".join(lines) + "\n"
+    return _csv(",".join(["label"] + columns), labels, np.hstack([stars, shifted]))
 
 
 def _write(out_path: str, text: str):
@@ -449,10 +470,7 @@ def goldenscan(steps, out_path):
     """
     grid = np.linspace(0.0, 1.0, steps + 1)
     gaps = menhir_gap(grid)
-    lines = ["v,menhir,gap"]
-    for v, gap in zip(grid, gaps):
-        lines.append(f"{float(v)!r},{float(v - gap)!r},{float(gap)!r}")
-    _write(out_path, "\n".join(lines) + "\n")
+    _write(out_path, _csv("v,menhir,gap", None, np.column_stack([grid, grid - gaps, gaps])))
 
     v_star = refine_gap_argmax()
     e_star = v_star - float(menhir_gap(v_star))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import struct
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -12,15 +13,15 @@ from hypothesis import strategies as st
 
 from menhir import lorentz
 from menhir.algebra import COMPLEX, QUATERNION, RESIDUE_BOUND, Algebra, Element, vector_embed
-from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_of, velocity_of
-from menhir.cli import OffModelError, _on_model, _read_catalog, _shift_table, main
-from menhir.lorentz import axis_projection_shift
+from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_gap, menhir_of, velocity_of
+from menhir.cli import _ORJSON_AS_REPR, OffModelError, _csv, _on_model, _read_catalog, _shift_table, main
+from menhir.lorentz import axis_projection_shift, composition_split
 from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
 from menhir.reversions import DegenerateConstructionWarning, apply_word, boost_star_shift, two_boost_word
 from menhir.verify import TIERS
 
 from util import (ball_vector, max_diff, needs_extended_split, reference_format_element,
-                  reference_mul_coeffs, reference_read_catalog, unit_vector)
+                  reference_mul_coeffs, reference_read_catalog, reference_shift_table, unit_vector)
 
 
 @pytest.fixture
@@ -85,12 +86,8 @@ def test_compose_quaternion_has_sandwich_pair(runner):
     payload = json.loads(result.output)
     assert set(payload["rotation"]) == {"alpha", "beta"}
     # velocity and angle must match the Lorentz oracle
-    from menhir.lorentz import boost_matrix, polar_decompose
-
-    rotation, u = polar_decompose(
-        boost_matrix([0, 0.5, 0]) @ boost_matrix([0.5, 0, 0])
-    )
-    oracle_angle = math.acos((np.trace(rotation[1:, 1:]) - 1) / 2)
+    rotation, u = composition_split([0.5, 0, 0], [0, 0.5, 0])
+    oracle_angle = math.acos((np.trace(rotation) - 1) / 2)
     assert payload["angle_rad"] == pytest.approx(oracle_angle, abs=1e-12)
     from menhir.algebra import QUATERNION, vector_part
 
@@ -538,7 +535,38 @@ def test_aberrate_output_is_the_row_reader_shift(runner, tmp_path):
     assert result.exit_code == 0, result.output
     labels, unit = reference_read_catalog(str(catalog))
     shifted = boost_star_shift(unit, np.array([0.3, -0.2, 0.5]))
-    assert out.read_bytes() == _shift_table(labels, unit, shifted).encode("utf-8")
+    assert out.read_bytes() == reference_shift_table(labels, unit, shifted).encode("utf-8")
+
+
+def _bit_pattern(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", k))[0]
+
+
+# each end of _ORJSON_AS_REPR and its neighbours, both signs
+_NOTATION_EDGES = [sign * x for bound in _ORJSON_AS_REPR for sign in (1.0, -1.0)
+                   for x in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf))]
+_csv_numbers = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bit_pattern),
+    st.sampled_from(_NOTATION_EDGES + [0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(-1.0, 1.0),  # unit-row components
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_table_writer_matches_the_repr_join(n, data):
+    rows = data.draw(st.lists(st.lists(_csv_numbers, min_size=2 * n, max_size=2 * n),
+                              min_size=1, max_size=6))
+    table = np.array(rows)
+    stars, shifted = table[:, :n], table[:, n:]
+    if data.draw(st.booleans(), label="labelled"):
+        labels = [f"s{i}" for i in range(len(rows))]
+        assert _shift_table(labels, stars, shifted) == reference_shift_table(labels, stars, shifted)
+    else:
+        # the reference with empty labels, their column dropped
+        expected = reference_shift_table([""] * len(rows), stars, shifted)
+        header, *lines = [line.partition(",")[2] for line in expected.splitlines()]
+        assert _csv(header, None, table) == "\n".join([header, *lines]) + "\n"
 
 
 @pytest.mark.parametrize("text", ["[0.1,,0.2]", "[0.1,0.2,]", "[,0.1,0.2]", "[]"])
@@ -808,6 +836,10 @@ def test_goldenscan(runner, tmp_path):
     last = [float(x) for x in lines[-1].split(",")]
     assert first == [0.0, 0.0, 0.0]
     assert last[2] == pytest.approx(0.0, abs=1e-12)  # endpoints coincide
+    # the lines as first written, one repr per number
+    grid = np.linspace(0.0, 1.0, 251)
+    assert lines[1:] == [f"{float(v)!r},{float(v - gap)!r},{float(gap)!r}"
+                         for v, gap in zip(grid, menhir_gap(grid))]
     assert "ratio v:e = 1.618033988749894" in result.output
 
 

@@ -16,6 +16,7 @@ import os
 import shutil
 
 import numpy as np
+import orjson
 import pytest
 
 from menhir.algebra import (
@@ -38,7 +39,7 @@ from menhir.calculus import (
     thomas_rotation,
     velocity_of,
 )
-from menhir.cli import _ZERO_DIRECTION_SQ, _read_catalog
+from menhir.cli import _ORJSON_AS_REPR, _ZERO_DIRECTION_SQ, _read_catalog, _shift_table
 from menhir.parsing import _REPR_BELOW, _best_rational, format_number
 from menhir.reversions import (
     COINCIDENT_ATOL,
@@ -56,6 +57,7 @@ from util import (
     named_thresholds,
     opposite_pair,
     reference_format_number,
+    reference_shift_table,
     scalar_part,
     unit_vector,
 )
@@ -322,6 +324,22 @@ def test_repr_below_is_exact():
     assert _best_rational(below)[0] == 0
     for x in np.linspace(_REPR_BELOW / 2, 2 * _REPR_BELOW, 201).tolist() + [below, _REPR_BELOW]:
         assert format_number(x) == reference_format_number(x)
+
+
+def test_orjson_as_repr_is_exact():
+    """Not a tolerance: at each end of the range and one ulp inside it the
+    table writer matches the repr join, and one ulp outside the range orjson
+    alone would not (0.00009999999999999999 for 9.999999999999999e-05, 1e16
+    for 1e+16)."""
+    assert _ORJSON_AS_REPR == (1e-4, 1e16)
+    lo, hi = _ORJSON_AS_REPR
+    edges = [lo, math.nextafter(lo, math.inf), math.nextafter(lo, 0.0),
+             math.nextafter(hi, 0.0), hi, math.nextafter(hi, math.inf)]
+    for x in edges + [-x for x in edges]:
+        stars, shifted = np.array([[x, 0.5]]), np.array([[0.5, x]])
+        assert _shift_table(["s"], stars, shifted) == reference_shift_table(["s"], stars, shifted)
+    alone = [orjson.dumps(x).decode() == repr(x) for x in edges]
+    assert alone == [True, True, False, True, False, False]
 
 
 def test_tier_tolerance_margins():

@@ -13,9 +13,11 @@ a third boost B(-u) that cancels entries of size gamma^2; the package's
 boost and closed-form split must be at least as close to the 50-digit
 references as they are.  `reference_read_catalog` is the row-by-row catalog
 reader that the bulk `cli._read_catalog` must match in labels, bitwise in
-stars and in its error messages.  The `exact_*` helpers
-redo a computation from the same float inputs in 50-digit mpmath, which
-they import when called, so only the tests that use them need it.  The
+stars and in its error messages, and `reference_shift_table` the table
+writer, one repr per number, that `cli._shift_table` must match byte for
+byte.  The `exact_*` helpers redo a computation from the same float inputs
+in 50-digit mpmath, which they import when called, so only the tests that
+use them need it.  The
 comparison helpers `max_diff` and `allclose`, the parts `norm_sq` and
 `scalar_part`, the Lorentz check `is_lorentz` and the star-shift trial
 `aberration_trial` serve only the tests, so they live here.
@@ -358,6 +360,17 @@ def reference_read_catalog(path: str):
     # row, so each unit row is bitwise the row-by-row one
     norms = np.sqrt((stars[:, None, :] @ stars[:, :, None]).ravel())
     return labels, stars / norms[:, None]
+
+
+def reference_shift_table(labels, stars: np.ndarray, shifted: np.ndarray) -> str:
+    """`cli._shift_table` as first written, one repr per number: CSV schema
+    v1, label, in_1..in_n, out_1..out_n."""
+    n = stars.shape[1]
+    columns = [f"in_{k+1}" for k in range(n)] + [f"out_{k+1}" for k in range(n)]
+    lines = [",".join(["label"] + columns)]
+    for label, a, s in zip(labels, stars.tolist(), shifted.tolist()):
+        lines.append(f"{label}," + ",".join(map(repr, a + s)))
+    return "\n".join(lines) + "\n"
 
 
 # -- 50-digit references ---------------------------------------------------------------
