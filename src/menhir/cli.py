@@ -219,42 +219,68 @@ def _is_number(field: str) -> bool:
     return True
 
 
+def _json_floats(text: str, count: int):
+    """The count comma-separated numbers of text as float() reads them, in one
+    orjson parse, or None where orjson's reading may differ.  Only a flat list
+    of count floats is taken: then each comma separates two fields, and each
+    field is one JSON number that orjson reads as a float (one with a fraction
+    or an exponent, or an integer past 64 bits), with float()'s bits
+    (tests/test_tolerances.py).  An integer within 64 bits reads as an int, -0
+    as 0, and true, null, strings, lists and objects are no numbers."""
+    try:
+        numbers = orjson.loads("[" + text + "]")
+    except orjson.JSONDecodeError:
+        return None
+    if len(numbers) != count or set(map(type, numbers)) != {float}:
+        return None
+    return numbers
+
+
 def _read_catalog(path: str):
     """Labels and unit star directions of a catalog file, in the format the
-    `aberrate` help gives.  The file is read at once and its rows are parsed
-    and checked together.  An error names the first bad row in file order,
-    whether float() rejects one of its numbers or its direction is zero or
-    non-finite.  A file that is not UTF-8, an empty catalog and rows of
-    unequal length are errors too."""
-    with open(path, "r", encoding="utf-8") as fh:
+    `aberrate` help gives.  The file is read at once, a leading byte-order
+    mark skipped, and each row split once into its label and its number text.
+    The numbers of all rows are read together: by one orjson parse where every
+    field is a JSON number that orjson reads as a float, and by float() one
+    field after another otherwise, with the same values bit for bit.  An error
+    names the first bad row in file order, whether float() rejects one of its
+    numbers or its direction is zero or non-finite.  A file that is not UTF-8,
+    an empty catalog and rows of unequal length are errors too."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             # read() translates newlines as iterating the file does
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ElementParseError(f"{path}: not UTF-8 text") from exc
-    lines = [line.strip() for line in text.split("\n")]
-    line_nos = [k for k, line in enumerate(lines, 1) if line and not line.startswith("#")]
-    rows = [lines[k - 1] for k in line_nos]
-    if not rows:
+    # flat lists, no list per row: the garbage collector would scan a list per
+    # row again and again on a large catalog
+    line_nos, labels, bodies, widths = [], [], [], []
+    for line_no, line in enumerate(text.split("\n"), 1):
+        row = line.strip()
+        if not row or row[0] == "#":
+            continue
+        head, _, tail = row.partition(",")
+        labelled = not _is_number(head)
+        line_nos.append(line_no)
+        labels.append(head.strip() if labelled else f"star{len(labels)}")
+        bodies.append(tail if labelled else row)  # the row's numbers, as text
+        widths.append(row.count(",") + 1 - labelled)
+    if not line_nos:
         raise ElementParseError(f"{path}: empty catalog")
-    # one flat list of fields, no list per row: the garbage collector would
-    # scan a list per row again and again on a large catalog
-    fields = ",".join(rows).split(",")  # float() ignores the spaces around a number
-    counts = np.array([row.count(",") + 1 for row in rows], dtype=int)
-    firsts = np.cumsum(counts) - counts
-    labelled = np.array([not _is_number(fields[k]) for k in firsts.tolist()], dtype=bool)
-    is_value = np.ones(len(fields), dtype=bool)
-    is_value[firsts[labelled]] = False
-    values = list(compress(fields, is_value.tolist()))  # the numbers, row after row
-    widths = counts - labelled
-    try:
-        numbers = np.fromiter(map(float, values), float)
-    except ValueError:
-        # the rows before the first that float() rejects are still checked:
-        # one of them may be the first bad row
-        rejected = next(k for k, value in enumerate(values) if not _is_number(value))
-        widths = widths[:np.searchsorted(np.cumsum(widths), rejected, side="right")]
-        numbers = np.fromiter(map(float, values[:widths.sum()]), float)
+    fields = ",".join(compress(bodies, widths))  # a row of a label alone adds no field
+    count = sum(widths)
+    widths = np.array(widths)
+    numbers = _json_floats(fields, count)
+    if numbers is None:
+        values = fields.split(",") if count else []  # float() ignores the spaces around a number
+        try:
+            numbers = np.fromiter(map(float, values), float)
+        except ValueError:
+            # the rows before the first that float() rejects are still checked:
+            # one of them may be the first bad row
+            rejected = next(k for k, value in enumerate(values) if not _is_number(value))
+            widths = widths[:np.searchsorted(np.cumsum(widths), rejected, side="right")]
+            numbers = np.fromiter(map(float, values[:widths.sum()]), float)
     parsed = len(widths)
     width = widths.max(initial=0)
     stars = np.zeros((parsed, width))
@@ -268,12 +294,10 @@ def _read_catalog(path: str):
         bad = np.flatnonzero(~((squares >= _ZERO_DIRECTION_SQ) & (squares < math.inf)))
     if bad.size:
         raise ElementParseError(f"{path}:{line_nos[bad[0]]}: direction must be finite and nonzero")
-    if parsed < len(rows):
+    if parsed < len(line_nos):
         raise ElementParseError(f"{path}:{line_nos[parsed]}: bad catalog row")
     if (widths != width).any():
         raise ElementParseError(f"{path}: inconsistent dimensions")
-    labels = [fields[k].strip() if label else f"star{i}"
-              for i, (k, label) in enumerate(zip(firsts.tolist(), labelled.tolist()))]
     # the stacked (1 x n)(n x 1) products take the dot of np.linalg.norm on one
     # row, so each unit row is bitwise the row-by-row one
     norms = np.sqrt((stars[:, None, :] @ stars[:, :, None]).ravel())

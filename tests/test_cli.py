@@ -1,3 +1,4 @@
+import codecs
 import itertools
 import json
 import math
@@ -458,19 +459,43 @@ def test_catalog_that_is_not_utf8_is_one_clean_error(runner, tmp_path):
     assert result.stderr == f"error: {catalog}: not UTF-8 text\n"
 
 
+def test_catalog_byte_order_mark_is_skipped(runner, tmp_path):
+    """Excel's "CSV UTF-8" starts the file with a byte-order mark: the catalog
+    reads and shifts as the same file without it, labelled or not."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    for text in ("0.6,0.8\n-0.28,0.96\n", "north,0.6,0.8\nsouth,-0.28,0.96\n"):
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        for reader in (_read_catalog, reference_read_catalog):
+            assert _read_outcome(reader, str(marked)) == _read_outcome(reader, str(plain)), text
+        shifted = [runner.invoke(main, ["aberrate", "-v", "0.5", "--catalog", str(path), "--out", "-"])
+                   for path in (plain, marked)]
+        assert shifted[0].exit_code == shifted[1].exit_code == 0, shifted[1].stderr
+        assert shifted[1].stdout == shifted[0].stdout
+
+
+# fields on either side of the border between what orjson reads as float()
+# does (JSON numbers with a fraction or an exponent) and what only float()
+# reads (JSON integers, which lose the sign of -0, and +1, .5, 1., 01, 1e400)
+# or nothing reads (true, null, brackets, quotes, braces)
+_JSON_BORDER = ["-0", "0", "1", "+1", ".5", "1.", "01", "1E5", "1e400", "-1e400", "1e-400",
+                "2.4703282292062328e-324", "18446744073709551616", "9007199254740993",
+                "true", "null", "[1", "2]", "],[", '"1"', "{}",
+                "1.234567890123456789012345678901234567890e-3"]
 # catalog fields: mostly plain nonzero numbers; now and then one that float()
 # reads (nan, inf, huge, zero, subnormal, with underscores or non-ASCII digits),
-# text it rejects, any float, or a float near the 1e-24 limit of |row|^2
+# text it rejects, one of the JSON border, any float, or a float near the 1e-24
+# limit of |row|^2
 _PLAIN_NUMBERS = st.floats(min_value=0.1, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.1)
 _EDGE_NUMBERS = st.one_of(
     st.sampled_from(["nan", "-inf", "inf", "1e200", "-1e200", "0", "-0.0", "5e-324",
-                     "1e-310", "1_0", "\u0663", "x", ""]),
+                     "1e-310", "1_0", "\u0663", "x", ""] + _JSON_BORDER),
     st.floats(),
     st.floats(min_value=5e-13, max_value=2e-12),
 )
 # first fields that are labels and first fields that are numbers
 _CATALOG_LABELS = st.sampled_from(["inf", "Nunki", "\uff49", "\u0663", "izar", "", "nan",
-                                   "1_0", "Infinity", "NaN", "s0"])
+                                   "1_0", "Infinity", "NaN", "s0"] + _JSON_BORDER)
 
 
 @st.composite

@@ -14,6 +14,8 @@ import glob
 import math
 import os
 import shutil
+import struct
+import sys
 
 import numpy as np
 import orjson
@@ -39,7 +41,7 @@ from menhir.calculus import (
     thomas_rotation,
     velocity_of,
 )
-from menhir.cli import _ORJSON_AS_REPR, _ZERO_DIRECTION_SQ, _read_catalog, _shift_table
+from menhir.cli import _ORJSON_AS_REPR, _ZERO_DIRECTION_SQ, _json_floats, _read_catalog, _shift_table
 from menhir.parsing import _REPR_BELOW, _best_rational, format_number
 from menhir.reversions import (
     COINCIDENT_ATOL,
@@ -53,7 +55,9 @@ from menhir.verify import _MIN_DIRECTION_NORM, CONFIGS, TIERS, run_equivalence
 from util import (
     SPEEDS,
     float_literals,
+    halfway_texts,
     hard_pairs,
+    long_mantissa_text,
     named_thresholds,
     opposite_pair,
     reference_format_number,
@@ -340,6 +344,39 @@ def test_orjson_as_repr_is_exact():
         assert _shift_table(["s"], stars, shifted) == reference_shift_table(["s"], stars, shifted)
     alone = [orjson.dumps(x).decode() == repr(x) for x in edges]
     assert alone == [True, True, False, True, False, False]
+
+
+def test_orjson_reads_numbers_as_float_does():
+    """Not a tolerance: each number the catalog reader takes from orjson
+    (`_json_floats`) has float()'s bits.  The texts are the exact halfways
+    between neighbouring doubles at exponents across the range, with their
+    last digit dropped and with a 1 appended; the subnormal and overflow
+    borders; 17- to 800-digit mantissas; integers past 2^64, which orjson
+    reads as floats; each in both signs, one at a time and all in one parse.
+    orjson may decline a text, and float() then reads it; a release that
+    reads one with other bits fails here."""
+    rng = np.random.default_rng(2505)
+    bits = [e << 52 | m for e in range(0, 2047, 23) for m in rng.integers(0, 2**52, 3).tolist()]
+    doubles = [struct.unpack("<d", struct.pack("<Q", k))[0] for k in bits]
+    doubles += [0.0, 5e-324, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
+                1.0, 2.0**53, math.nextafter(sys.float_info.max, 0.0), sys.float_info.max]
+    texts = [text for x in doubles for text in halfway_texts(x)]
+    texts += ["2.4703282292062327e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+              "2.2250738585072012e-308", "1.7976931348623157e308", "1.7976931348623158e308",
+              "1.7976931348623159e308", "1e308", "1e309", "1e-400", "18446744073709551616",
+              "9223372036854775809"]
+    texts += [long_mantissa_text(rng, n, e) for n in (17, 18, 19, 40, 100, 400, 800)
+              for e in rng.integers(-330, 310, 40).tolist()]
+    texts += ["1" + "".join(map(str, rng.integers(0, 10, n).tolist())) for n in range(19, 320, 7)]
+    texts += ["-" + text for text in texts]
+    read = [text for text in texts if _json_floats(text, 1) is not None]
+    print(f"orjson reads {len(read)} of {len(texts)} texts")
+    for text in read:
+        assert _json_floats(text, 1)[0].hex() == float(text).hex(), text
+    assert [x.hex() for x in _json_floats(",".join(read), len(read))] == [float(t).hex() for t in read]
+    # not vacuous: orjson 3.8 declines only the texts past DBL_MAX and the
+    # integers that fit 64 bits, which it reads as ints
+    assert len(read) > len(texts) * 9 // 10
 
 
 def test_tier_tolerance_margins():

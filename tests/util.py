@@ -15,7 +15,9 @@ references as they are.  `reference_read_catalog` is the row-by-row catalog
 reader that the bulk `cli._read_catalog` must match in labels, bitwise in
 stars and in its error messages, and `reference_shift_table` the table
 writer, one repr per number, that `cli._shift_table` must match byte for
-byte.  The `exact_*` helpers redo a computation from the same float inputs
+byte.  `halfway_texts` and `long_mantissa_text` write number texts on the
+border of what orjson reads as float() does, for the catalog reader's tests
+and its CI sweep.  The `exact_*` helpers redo a computation from the same float inputs
 in 50-digit mpmath, which they import when called, so only the tests that
 use them need it.  The
 comparison helpers `max_diff` and `allclose`, the parts `norm_sq` and
@@ -24,6 +26,7 @@ comparison helpers `max_diff` and `allclose`, the parts `norm_sq` and
 """
 
 import ast
+import decimal
 import functools
 import importlib
 import io
@@ -328,9 +331,10 @@ def reference_polar_decompose(L):
 def reference_read_catalog(path: str):
     """`cli._read_catalog` as first written, one row at a time: each row is
     checked as it is read, so an error names the first bad row; the rows are
-    then normalised together in one array."""
+    then normalised together in one array.  A leading byte-order mark is
+    skipped, as the package reader skips it."""
     labels, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -371,6 +375,33 @@ def reference_shift_table(labels, stars: np.ndarray, shifted: np.ndarray) -> str
     for label, a, s in zip(labels, stars.tolist(), shifted.tolist()):
         lines.append(f"{label}," + ",".join(map(repr, a + s)))
     return "\n".join(lines) + "\n"
+
+
+# -- number texts on the border of JSON's grammar --------------------------------------
+
+def scientific_text(digits: str, exponent: int) -> str:
+    """d.ddd...e<exponent>: the digit string with its first digit at 10^exponent."""
+    return f"{digits[0]}.{digits[1:] or '0'}e{exponent}"
+
+
+def halfway_texts(x: float) -> list[str]:
+    """The exact decimal halfway between the double x >= 0 and the next one
+    up (float() rounds it to the one whose last bit is even), and the same
+    digits with the last one dropped and with a 1 appended, just below and
+    just above the halfway."""
+    with decimal.localcontext() as context:
+        context.prec = 1200  # exact: no halfway has 800 significant digits
+        half = decimal.Decimal(x) + decimal.Decimal(math.ulp(x)) / 2
+    _, digits, exponent = half.as_tuple()
+    digits = "".join(map(str, digits))
+    exponent += len(digits) - 1
+    return [scientific_text(d, exponent) for d in (digits[:-1], digits, digits + "1")]
+
+
+def long_mantissa_text(rng, n_digits: int, exponent: int) -> str:
+    """A seeded n-digit mantissa, d.ddd...e<exponent>."""
+    digits = "".join(map(str, rng.integers(0, 10, n_digits).tolist()))
+    return scientific_text(str(rng.integers(1, 10)) + digits[1:], exponent)
 
 
 # -- 50-digit references ---------------------------------------------------------------
