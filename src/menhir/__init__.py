@@ -27,13 +27,11 @@ from .algebra import (
     vector_part,
 )
 from .calculus import (
-    DecomposedTransform,
     MoebiusMatrix,
     RotationDescriptor,
     SuperluminalError,
     compose_menhirs,
     compose_velocities,
-    master_decompose,
     menhir_gap,
     menhir_of,
     moebius_apply,

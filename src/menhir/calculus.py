@@ -12,8 +12,9 @@ and both facts live inside one matrix identity
 
     M(e2) M(e1) = R(alpha, beta) M(e1 [+] e2),      M(e) = [[1, e], [e*, 1]]
 
-which holds entrywise in every supported algebra.  Functions here operate on
-`Element` values; the radial maps also accept plain vectors.
+which holds entrywise in every supported algebra, with (alpha, beta) from
+`thomas_rotation` and e1 [+] e2 from `compose_menhirs`.  Functions here operate
+on `Element` values; the radial maps also accept plain vectors.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ import numpy as np
 from .algebra import SINGULAR, Element, SingularElementError, _SCALAR_ATOL
 
 __all__ = [
-    "DecomposedTransform",
     "MoebiusMatrix",
     "RotationDescriptor",
     "SuperluminalError",
     "compose_menhirs",
     "compose_velocities",
-    "master_decompose",
     "menhir_gap",
     "menhir_of",
     "moebius_apply",
@@ -320,21 +319,6 @@ def moebius_apply(m: MoebiusMatrix, z: Element) -> Element:
     if not abs(z.norm() - 1.0) <= UNIT_ATOL:
         raise ValueError(f"sphere point must have unit norm, got {z.norm()!r}")
     return (m.a * z + m.b) * (m.c * z + m.d).inverse()
-
-
-class DecomposedTransform(NamedTuple):
-    rotation: MoebiusMatrix
-    boost: MoebiusMatrix
-
-
-def master_decompose(e1: Element, e2: Element) -> DecomposedTransform:
-    """Split M(e2) M(e1) into rotation times boost; the product of the returned
-    parts reproduces the composed matrix entrywise."""
-    rot = thomas_rotation(e1, e2)
-    return DecomposedTransform(
-        rotation=MoebiusMatrix.rotation(rot.alpha, rot.beta),
-        boost=MoebiusMatrix.boost(compose_menhirs(e1, e2)),
-    )
 
 
 def compose_velocities(v: Element, w: Element):

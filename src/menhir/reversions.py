@@ -84,7 +84,7 @@ def apply_word(a, word) -> np.ndarray:
     Vectorizes over a leading batch axis of `a`.
     """
     out = np.asarray(a, dtype=float)
-    if not np.abs(np.linalg.norm(out, axis=-1) - 1.0).max() <= UNIT_ATOL:
+    if not np.abs(np.linalg.norm(out, axis=-1) - 1.0).max(initial=0.0) <= UNIT_ATOL:
         raise ValueError("sphere point must have unit norm")
     for p in word:
         p = _interior(p)

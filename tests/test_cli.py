@@ -19,6 +19,7 @@ from menhir.cli import _ORJSON_AS_REPR, OffModelError, _csv, _on_model, _read_ca
 from menhir.lorentz import axis_projection_shift, composition_split
 from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
 from menhir.reversions import DegenerateConstructionWarning, apply_word, boost_star_shift, two_boost_word
+from menhir.svgplot import render_starfield
 from menhir.verify import TIERS
 
 from util import (ball_vector, max_diff, needs_extended_split, reference_format_element,
@@ -653,6 +654,13 @@ def test_starfield_svg(runner):
     hollow = [c for c in circles if c.get("fill") == "white"]
     filled = [c for c in circles if c.get("fill") == "black"]
     assert len(hollow) == 12 and len(filled) == 12
+
+
+def test_render_starfield_rejects_unmatched_points():
+    before = [[1.0, 0.0], [0.0, 1.0]]
+    for after in ([[1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+        with pytest.raises(ValueError, match="matching lists of planar points"):
+            render_starfield(before, after)
 
 
 def test_starfield_side_star_projection(runner):

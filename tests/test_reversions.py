@@ -111,6 +111,17 @@ def test_apply_word_basics():
     assert np.array_equal(apply_word(a, []), a)
 
 
+def test_empty_batch_maps_to_an_empty_batch():
+    # no star to check or move: every route returns the empty batch, as the
+    # null boost always did
+    p = np.array([0.3, -0.2, 0.1])
+    for out, n in ((apply_word(np.zeros((0, 3)), [p]), 3),
+                   (boost_star_shift(np.zeros((0, 3)), [0.5, 0.0, 0.0]), 3),
+                   (boost_star_shift(np.zeros((0, 3)), np.zeros(3)), 3),
+                   (apply_word(np.zeros((0, 2)), two_boost_word([0.5, 0.0], [0.0, 1 / 3])), 2)):
+        assert out.shape == (0, n)
+
+
 def test_origin_then_menhir_is_moebius_boost():
     rng = np.random.default_rng(44)
     for _ in range(200):
@@ -229,6 +240,14 @@ def test_find_conjugate_point_examples():
     assert np.array_equal(find_conjugate_point(a, a, a), a)
     with pytest.raises(ValueError, match="replacement point must lie on line"):
         find_conjugate_point(a, b, np.array([0.0, 0.0]))
+    # a and b near opposite chord ends, a_new just inside b: the slid point
+    # rounds to |b'| = 1 + 4e-16
+    a = np.array([-0.5544653437133112, -0.8322068147959151])
+    b = np.array([0.5544653437193955, 0.8322068148050471])
+    a_new = np.array([0.5544652686908806, 0.8322067021934259])
+    with pytest.raises(ConstructionError, match="outside the open ball") as info:
+        find_conjugate_point(a, b, a_new)
+    assert isinstance(info.value.__cause__, SuperluminalError)
 
 
 def test_find_conjugate_point_random_verified():
@@ -379,6 +398,18 @@ def test_construct_composite_menhir_trivial_second_boost():
         warnings.simplefilter("ignore", DegenerateConstructionWarning)
         m = construct_composite_menhir(e, np.zeros(2))
     assert np.abs(m - e).max() <= 1e-12
+
+
+def test_construct_composite_menhir_meet_outside_the_disk_falls_back():
+    # nearly opposite menhirs at |e| = |f| = 1 - 1e-10: the chords meet on or
+    # past the circle, and the algebraic composite is returned with a warning
+    r = 1.0 - 1e-10
+    e = np.array([r, 0.0])
+    f = r * np.array([-math.cos(1e-3), math.sin(1e-3)])
+    with pytest.warns(DegenerateConstructionWarning, match="meet outside the disk"):
+        m = construct_composite_menhir(e, f)
+    algebraic = compose_menhirs(COMPLEX.element(e), COMPLEX.element(f)).coeffs
+    assert np.abs(m - algebraic).max() <= 1e-15
 
 
 def test_construct_composite_menhir_random():
