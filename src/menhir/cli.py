@@ -53,9 +53,18 @@ from .verify import CONFIGS, TIERS, aberration_spread, run_equivalence, trial_to
 #: a catalog row with |row|^2 below this is a zero direction, not a star
 _ZERO_DIRECTION_SQ = 1e-24
 
-#: orjson writes a float with |x| in [lo, hi) as repr does; below lo, from hi
-#: up and for nan and inf its notation differs (0.00001, 1e16, null)
+#: orjson writes a float with |x| in [lo, hi) as repr does, and +-0.0 too;
+#: below lo, from hi up and for nan and inf its notation differs (0.00001,
+#: 1e16, null)
 _ORJSON_AS_REPR = (1e-4, 1e16)
+
+
+def _orjson_as_repr(x):
+    """Whether orjson prints the float x, or each float of the array x, as
+    repr does: |x| in `_ORJSON_AS_REPR`, or x = +-0.0 (0.0 and -0.0)."""
+    lo, hi = _ORJSON_AS_REPR
+    magnitude = abs(x)
+    return ((magnitude >= lo) & (magnitude < hi)) | (magnitude == 0.0)
 
 
 class OffModelError(ArithmeticError):
@@ -100,6 +109,26 @@ def main():
     ("3i/5", "1/2+i/3"); Clifford vectors as bracketed component lists
     ("[0.1,0.2,0.3]").  Algebra tags: real, complex, quaternion, clifford<N>.
     """
+
+
+class _ShortFirstCommand(click.Command):
+    """A command whose parser matches a token equal to one of its one-letter
+    options (-a, -v, -w) as that option at once.  Click tries every option
+    token as a long option first, and on such a token the miss builds a
+    NoSuchOption (a gettext lookup and a difflib search) before the short
+    match; any other token (-a=complex, -acomplex) takes click's own path.
+    Where click's private parser lacks a member used here, it is left as is."""
+
+    def make_parser(self, ctx):
+        parser = super().make_parser(ctx)
+        short, process = getattr(parser, "_short_opt", None), getattr(parser, "_process_opts", None)
+        match_short = getattr(parser, "_match_short_opt", None)
+        if isinstance(short, dict) and callable(match_short) and callable(process):
+            parser._process_opts = lambda arg, state: (match_short if arg in short else process)(arg, state)
+        return parser
+
+
+main.command_class = _ShortFirstCommand
 
 
 def _vector(x, n: int, text: str) -> np.ndarray:
@@ -182,7 +211,12 @@ def compose(tag, v_text, w_text, fmt):
         "angle_rad": rotation.angle(),
     }
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        # element texts are ASCII with no quote or backslash: both writers
+        # print them alike, and orjson's floats are repr's in its band
+        if _orjson_as_repr(payload["speed"]) and _orjson_as_repr(payload["angle_rad"]):
+            click.echo(orjson.dumps(payload, option=orjson.OPT_INDENT_2).decode())
+        else:
+            click.echo(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
             click.echo(f"{key} = {value}")
@@ -307,12 +341,10 @@ def _read_catalog(path: str):
 def _csv(header: str, labels, table: np.ndarray) -> str:
     """CSV text: the header line, then a line per row of the float table,
     its label first unless labels is None, every number as repr writes it.
-    orjson prints the whole table at once; a row holding a number outside
-    `_ORJSON_AS_REPR` is joined from repr instead."""
+    orjson prints the whole table at once; a row holding a number that
+    orjson prints otherwise (`_orjson_as_repr`) is joined from repr instead."""
     table = np.ascontiguousarray(table, dtype=float)
-    lo, hi = _ORJSON_AS_REPR
-    magnitude = np.abs(table)
-    outside = ~((magnitude >= lo) & (magnitude < hi)).all(axis=1)
+    outside = ~_orjson_as_repr(table).all(axis=1)
     # "[[x,y],[z,w]]" -> "x,y", "z,w"
     text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
     rows = text.split("],[") if len(table) else []

@@ -37,6 +37,13 @@ def _line(p, q, style) -> str:
     return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
 
 
+def _points(points) -> np.ndarray:
+    """A sequence of points as rows; an empty list is no points, not one
+    point of no coordinates."""
+    points = np.asarray(points, dtype=float)
+    return points.reshape(0, 2) if points.shape == (0,) else np.atleast_2d(points)
+
+
 def render_starfield(
     before,
     after,
@@ -50,8 +57,7 @@ def render_starfield(
     drawn as diamonds, fixed points as crosses, and an optional construction
     trace contributes labeled points and segments.
     """
-    before = np.atleast_2d(np.asarray(before, dtype=float))
-    after = np.atleast_2d(np.asarray(after, dtype=float))
+    before, after = _points(before), _points(after)
     if before.shape != after.shape or before.shape[1] != 2:
         raise ValueError("before/after must be matching lists of planar points")
 

@@ -6,6 +6,7 @@ import struct
 import warnings
 import xml.etree.ElementTree as ET
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from menhir import lorentz
 from menhir.algebra import COMPLEX, QUATERNION, RESIDUE_BOUND, Algebra, Element, vector_embed
 from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_gap, menhir_of, velocity_of
-from menhir.cli import _ORJSON_AS_REPR, OffModelError, _csv, _on_model, _read_catalog, _shift_table, main
+from menhir.cli import (_ORJSON_AS_REPR, OffModelError, _csv, _on_model, _orjson_as_repr, _read_catalog,
+                        _shift_table, main)
 from menhir.lorentz import axis_projection_shift, composition_split
 from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
 from menhir.reversions import DegenerateConstructionWarning, apply_word, boost_star_shift, two_boost_word
@@ -229,12 +231,17 @@ def _velocity_text(tag, v):
 
 
 def _compose_cases():
-    # the README's examples, a 4-D quaternion pair, then seeded requests of
-    # every algebra the benchmark cycles through, and of clifford6 and
-    # clifford8 on either side of algebra._SPARSE_DIM
+    # the README's examples, a 4-D quaternion pair, requests whose speed or
+    # angle lies below _ORJSON_AS_REPR (written by json.dumps) and whose angle
+    # is 0.0 (a real and a collinear pair, written by orjson), then seeded
+    # requests of every algebra the benchmark cycles through, and of clifford6
+    # and clifford8 on either side of algebra._SPARSE_DIM
     cases = [("complex", "4/5", "3i/5", 2), ("quaternion", "0.5i", "0.5j", 3),
              ("clifford4", "[0.5,0,0,0]", "[0,0.5,0,0]", 4), ("real", "1/2", "-1/3", 1),
-             ("quaternion", "0.1+0.5i", "0.5j-0.2k", 4), ("quaternion", "1e-13+0.5i", "0.3j", 4)]
+             ("quaternion", "0.1+0.5i", "0.5j-0.2k", 4), ("quaternion", "1e-13+0.5i", "0.3j", 4),
+             ("complex", "1e-5", "1e-5i", 2), ("clifford3", "[1e-5,0,0]", "[0,1e-5,0]", 3),
+             ("complex", "0.5", "1e-5i", 2), ("quaternion", "0.5i", "1e-5j", 3),
+             ("real", "0.5", "0.5", 1), ("complex", "0.3i", "-0.6i", 2)]
     rng = np.random.default_rng(88)
     for tag, n in (("real", 1), ("complex", 2), ("quaternion", 3), ("clifford3", 3),
                    ("clifford5", 5), ("clifford10", 10), ("clifford6", 6), ("clifford8", 8)):
@@ -249,6 +256,58 @@ def test_compose_bytes_match_the_reference(runner, tag, v_text, w_text, model_di
     result = runner.invoke(main, ["compose", "-a", tag, "-v", v_text, "-w", w_text])
     assert result.exit_code == 0, result.output
     assert result.output == _reference_compose_json(tag, v_text, w_text, model_dim)
+
+
+def test_compose_cases_take_both_json_writers(runner):
+    # a payload whose floats orjson prints as repr does is written by orjson,
+    # any other by json.dumps: the byte reference above must see both
+    in_band = set()
+    for tag, v_text, w_text, _ in _compose_cases():
+        payload = json.loads(runner.invoke(main, ["compose", "-a", tag, "-v", v_text, "-w", w_text]).stdout)
+        in_band.add(bool(_orjson_as_repr(payload["speed"]) and _orjson_as_repr(payload["angle_rad"])))
+    assert in_band == {True, False}
+
+
+_COMPOSE_EXAMPLE = ["-v", "4/5", "-w", "3i/5"]
+_SHORT_SPELLING = {"compose": ["compose", "-a", "complex", *_COMPOSE_EXAMPLE],
+                   "verify": ["verify", "-a", "real", "--trials", "1"]}
+
+
+# argv, exit code, stderr, NoSuchOption errors built on the way
+_SPELLINGS = [
+    (_SHORT_SPELLING["compose"], 0, "", 0),
+    (["compose", "--algebra", "complex", *_COMPOSE_EXAMPLE], 0, "", 0),
+    (["compose", "--algebra=complex", *_COMPOSE_EXAMPLE], 0, "", 0),
+    (["compose", "-acomplex", *_COMPOSE_EXAMPLE], 0, "", 1),
+    (_SHORT_SPELLING["verify"], 0, "", 0),
+    (["verify", "--algebra", "real", "--trials", "1"], 0, "", 0),
+    (["verify", "--algebra=real", "--trials", "1"], 0, "", 0),
+    (["compose", "-a"], 2, "Error: Option '-a' requires an argument.\n", 0),
+    (["compose", "-a=complex", *_COMPOSE_EXAMPLE], 2,
+     "error: unknown algebra tag '=complex'; use real, complex, quaternion or clifford<N>\n", 1),
+    (["compose", "-x", "1"], 2,
+     "Usage: main compose [OPTIONS]\nTry 'main compose --help' for help.\n\n"
+     "Error: No such option '-x'.\n", 2),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, stderr, misses", _SPELLINGS,
+                         ids=[" ".join(case[0]) for case in _SPELLINGS])
+def test_option_spellings_keep_their_outcome(runner, monkeypatch, argv, exit_code, stderr, misses):
+    # a token equal to a one-letter option (-a, -v, -w) is matched with no
+    # NoSuchOption built
+    built = []
+    init = click.exceptions.NoSuchOption.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(click.exceptions.NoSuchOption, "__init__", counting_init)
+    result = runner.invoke(main, argv)
+    assert (result.exit_code, result.stderr, len(built)) == (exit_code, stderr, misses)
+    if exit_code == 0:
+        assert result.stdout == runner.invoke(main, _SHORT_SPELLING[argv[0]]).stdout
 
 
 def _off_model_slots(text, algebra):
@@ -661,6 +720,14 @@ def test_render_starfield_rejects_unmatched_points():
     for after in ([[1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
         with pytest.raises(ValueError, match="matching lists of planar points"):
             render_starfield(before, after)
+    # empty star lists are no stars: the plain cromlech; an empty row or an
+    # empty batch of 3-D points is still no list of planar points
+    plain = render_starfield(np.zeros((0, 2)), np.zeros((0, 2)))
+    assert render_starfield([], []) == render_starfield([], np.zeros((0, 2))) == plain
+    assert plain.count("<circle") == 1  # the cromlech alone
+    for empty in ([[]], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="matching lists of planar points"):
+            render_starfield(empty, empty)
 
 
 def test_starfield_side_star_projection(runner):

@@ -41,7 +41,8 @@ from menhir.calculus import (
     thomas_rotation,
     velocity_of,
 )
-from menhir.cli import _ORJSON_AS_REPR, _ZERO_DIRECTION_SQ, _json_floats, _read_catalog, _shift_table
+from menhir.cli import (_ORJSON_AS_REPR, _ZERO_DIRECTION_SQ, _json_floats, _orjson_as_repr, _read_catalog,
+                        _shift_table)
 from menhir.parsing import _REPR_BELOW, _best_rational, format_number
 from menhir.reversions import (
     COINCIDENT_ATOL,
@@ -334,7 +335,8 @@ def test_orjson_as_repr_is_exact():
     """Not a tolerance: at each end of the range and one ulp inside it the
     table writer matches the repr join, and one ulp outside the range orjson
     alone would not (0.00009999999999999999 for 9.999999999999999e-05, 1e16
-    for 1e+16)."""
+    for 1e+16).  `_orjson_as_repr`, which both orjson writers ask, says so
+    too."""
     assert _ORJSON_AS_REPR == (1e-4, 1e16)
     lo, hi = _ORJSON_AS_REPR
     edges = [lo, math.nextafter(lo, math.inf), math.nextafter(lo, 0.0),
@@ -344,6 +346,13 @@ def test_orjson_as_repr_is_exact():
         assert _shift_table(["s"], stars, shifted) == reference_shift_table(["s"], stars, shifted)
     alone = [orjson.dumps(x).decode() == repr(x) for x in edges]
     assert alone == [True, True, False, True, False, False]
+    # +-0.0 counts as in the range: orjson prints it as repr does, alone and
+    # in a numpy table
+    zeros = [0.0, -0.0]
+    assert [orjson.dumps(x).decode() for x in zeros] == list(map(repr, zeros))
+    assert orjson.dumps(np.array(zeros), option=orjson.OPT_SERIALIZE_NUMPY) == b"[0.0,-0.0]"
+    assert [_orjson_as_repr(x) for x in edges + zeros] == alone + [True, True]
+    assert _orjson_as_repr(np.array(edges + zeros)).tolist() == alone + [True, True]
 
 
 def test_orjson_reads_numbers_as_float_does():
