@@ -71,23 +71,23 @@ class OffModelError(ArithmeticError):
     """A composite leaves the velocity model by more than rounding."""
 
 
+class _PlanarOnlyError(UnsupportedDimensionError):
+    """A dimension the SVG renderer does not draw."""
+
+
+#: exit code of each error a command reports on one `error:` line, a subclass before its parent
+_EXIT_CODES = {OffModelError: 1, _PlanarOnlyError: 5, ElementParseError: 2,
+               UnsupportedDimensionError: 2, SuperluminalError: 3, OSError: 4}
+
+
 def _exit_codes(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except OffModelError as exc:
+        except tuple(_EXIT_CODES) as exc:  # evaluated only when fn raises
             click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except (ElementParseError, UnsupportedDimensionError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except SuperluminalError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
+            sys.exit(next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls)))
 
     return wrapper
 
@@ -441,25 +441,15 @@ def starfield(v_text, w_text, count, fmt, out_path):
     v = _parse_vector_velocity(v_text, None)
     n = v.size
     w = None if w_text is None else _parse_vector_velocity(w_text, n)
+    if fmt == "svg" and n != 2:
+        raise _PlanarOnlyError(f"SVG rendering supports only the planar case, got dimension {n}")
 
     stars = _starfield_points(n, count)
-    ev = menhir_of(v)
-    menhirs = [ev]
-    fixed, trace = (), None
-    if w is None:
-        shifted = boost_star_shift(stars, v)
-    else:
-        ew = menhir_of(w)
-        menhirs.append(ew)
-        shifted = apply_word(stars, two_boost_word(ev, ew))
-        if n == 2:
-            fixed, trace = _two_boost_overlays(ev, ew)
-
+    menhirs = [menhir_of(x) for x in (v, w) if x is not None]
+    shifted = boost_star_shift(stars, v) if w is None else apply_word(stars, two_boost_word(*menhirs))
     if fmt == "svg":
-        if n != 2:
-            click.echo(f"error: SVG rendering supports only the planar case, got dimension {n}", err=True)
-            sys.exit(5)
-        text = render_starfield(stars, shifted, menhirs, fixed, trace)
+        overlays = () if w is None else _two_boost_overlays(*menhirs)
+        text = render_starfield(stars, shifted, menhirs, *overlays)
     else:
         text = _shift_table([f"star{i}" for i in range(count)], stars, shifted)
     _write(out_path, text)

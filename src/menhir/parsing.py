@@ -55,7 +55,9 @@ class ElementParseError(ValueError):
     """Input text does not match the element grammar."""
 
 
-_NUM = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+# ASCII digits only: \d and float() take every Unicode digit, float() `_` too
+_NUM = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+_NUMBER = re.compile(rf"[+-]?(?:{_NUM})(?:/(?:{_NUM}))?")
 _TERM = re.compile(
     rf"^(?P<num>{_NUM})?"
     rf"(?:/(?P<den_pre>{_NUM}))?"
@@ -77,7 +79,7 @@ def parse_algebra_tag(tag: str) -> Algebra:
         return COMPLEX
     if tag == "quaternion":
         return QUATERNION
-    m = re.fullmatch(r"clifford(\d+)", tag)
+    m = re.fullmatch(r"clifford([0-9]+)", tag)
     if m:
         return clifford(int(m.group(1)))
     raise ElementParseError(
@@ -86,12 +88,14 @@ def parse_algebra_tag(tag: str) -> Algebra:
 
 
 def parse_number(text: str) -> float:
-    """A finite decimal or a rational p/q with q nonzero."""
+    """A finite decimal or a rational p/q with q nonzero, signed or not."""
     text = text.strip()
+    if not _NUMBER.fullmatch(text):
+        raise ElementParseError(f"bad number {text!r}")
     num, slash, den = text.partition("/")
     try:
         value = float(num) / float(den) if slash else float(num)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ElementParseError(f"bad number {text!r}") from exc
     if not math.isfinite(value):
         raise ElementParseError(f"non-finite number {text!r}")
@@ -116,14 +120,14 @@ def _parse_term(term: str) -> tuple[float, str]:
 
 
 def parse_bracket(text: str) -> np.ndarray:
-    """The numbers of a bracket list "[x1,...,xm]", text that starts with "[".
-    An empty list or an empty component, as in "[0.1,,0.2]" or "[0.1,0.2,]",
-    is a parse error."""
-    body = text.strip()
+    """The numbers of a bracket list "[x1,...,xm]", text that starts with "[",
+    whitespace ignored.  An empty list or an empty component, as in
+    "[0.1,,0.2]" or "[0.1,0.2,]", is a parse error."""
+    body = "".join(text.split())
     if not body.endswith("]"):
         raise ElementParseError(f"unterminated bracket list {text!r}")
     parts = body[1:-1].split(",")
-    if not all(p.strip() for p in parts):
+    if not all(parts):
         raise ElementParseError(f"empty component in bracket list {text!r}")
     return np.array([parse_number(p) for p in parts])
 
@@ -141,7 +145,7 @@ def _bracket_element(values: np.ndarray, algebra: Algebra) -> Element:
 
 def parse_element(text: str, algebra: Algebra) -> Element:
     """Parse an element of the given algebra from its text form."""
-    compact = re.sub(r"\s+", "", text)
+    compact = "".join(text.split())
     if not compact:
         raise ElementParseError("empty element")
     if compact.startswith("["):

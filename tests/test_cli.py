@@ -33,6 +33,15 @@ def runner():
     return CliRunner()
 
 
+def _one_error_line(result, exit_code, message="error: "):
+    """A command error: the exit code, no output and one stderr line that
+    starts with the message."""
+    assert result.exit_code == exit_code, (result.output, result.exception)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), lines
+
+
 def test_compose_worked_example(runner):
     result = runner.invoke(main, ["compose", "-a", "complex", "-v", "4/5", "-w", "3i/5"])
     assert result.exit_code == 0
@@ -100,19 +109,21 @@ def test_compose_quaternion_has_sandwich_pair(runner):
 
 
 def test_compose_exit_codes(runner):
-    assert runner.invoke(main, ["compose", "-a", "complex", "-v", "abc", "-w", "0"]).exit_code == 2
-    assert runner.invoke(main, ["compose", "-a", "nope", "-v", "0", "-w", "0"]).exit_code == 2
-    assert runner.invoke(main, ["compose", "-a", "complex", "-v", "1.5", "-w", "0"]).exit_code == 3
+    _one_error_line(runner.invoke(main, ["compose", "-a", "complex", "-v", "abc", "-w", "0"]), 2)
+    _one_error_line(runner.invoke(main, ["compose", "-a", "nope", "-v", "0", "-w", "0"]), 2)
+    _one_error_line(runner.invoke(main, ["compose", "-a", "complex", "-v", "1.5", "-w", "0"]), 3)
     # clifford velocities must be grade-1 vectors, even in dense-blade form
-    assert runner.invoke(
+    _one_error_line(runner.invoke(
         main, ["compose", "-a", "clifford2", "-v", "[0.5,0,0,0.2]", "-w", "[0,0.5,0,0]"]
-    ).exit_code == 2
+    ), 2)
     assert runner.invoke(
         main, ["compose", "-a", "clifford2", "-v", "[0,0.5,0.2,0]", "-w", "[0.1,0]"]
     ).exit_code == 0
-    # non-finite numbers and zero denominators are parse errors, not speeds
+    # non-finite numbers, zero denominators and what float() alone reads
+    # (underscores, a signed denominator, non-ASCII digits) are parse errors
     for tag, text in (("clifford2", "[nan,0]"), ("clifford2", "[inf,0]"),
-                      ("complex", "1/0"), ("complex", "[1/0,0]")):
+                      ("complex", "1/0"), ("complex", "[1/0,0]"), ("clifford2", "[0.1_0,0]"),
+                      ("clifford2", "[-1/-2,0]"), ("complex", "\u0665"), ("clifford2", "[\u0661,0]")):
         result = runner.invoke(main, ["compose", "-a", tag, "-v", text, "-w", "0"])
         assert result.exit_code == 2, (tag, text, result.output)
 
@@ -133,9 +144,7 @@ def test_huge_velocity_is_one_clean_error(runner, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = runner.invoke(main, args)
-        assert result.exit_code == 3, (args, result.exception)
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), (args, lines)
+        _one_error_line(result, 3)
 
 
 # floats a user could type: NaN, inf, zero, subnormals and values near +-1
@@ -351,11 +360,7 @@ def test_compose_off_model_composite_is_one_clean_error(runner, monkeypatch):
     for (tag, v_text, w_text), skew in itertools.product(cases, (1e-6, 1e-9)):
         args = ["compose", "-a", tag, "-v", v_text, "-w", w_text]
         monkeypatch.setattr("menhir.cli.compose_menhirs", skewed(skew))
-        result = runner.invoke(main, args)
-        assert result.exit_code == 1, (tag, skew, result.output)
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: composite menhir is off the"), lines
+        _one_error_line(runner.invoke(main, args), 1, "error: composite menhir is off the")
         monkeypatch.setattr("menhir.cli.compose_menhirs", skewed(5e-13))
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (tag, result.output)
@@ -695,7 +700,7 @@ def test_aberrate_io_error(runner, tmp_path):
     result = runner.invoke(
         main, ["aberrate", "-v", "0.5", "--catalog", str(tmp_path / "missing.csv"), "--out", "-"]
     )
-    assert result.exit_code == 4
+    _one_error_line(result, 4)
 
 
 def test_starfield_svg(runner):
@@ -793,6 +798,13 @@ def test_starfield_two_boost_overlay_warnings(runner, monkeypatch):
         runner.invoke(main, ["starfield", "-v", "0.5", "--w", "-0.5", "--count", "8"])
     )
     assert len(lines) == 1 and "fixed points overlay omitted" in lines[0]
+    # non-collinear, nearly opposite boosts: near the light cone the
+    # fixed-point discriminant rounds to <= 0, and the construction stops too
+    lines, _ = _warnings_and_svg(runner.invoke(main, [
+        "starfield", "-v", "[-0.6731065092663897,0.7395455544721489]",
+        "--w", "[0.6731065092673464,-0.7395455544712781]"]))
+    assert len(lines) == 2
+    assert "fixed points overlay omitted" in lines[0] and "construction overlay omitted" in lines[1]
     # collinear boosts: both fixed points exist and nothing is dropped
     lines, _ = _warnings_and_svg(
         runner.invoke(main, ["starfield", "-v", "0.5", "--w", "0.3", "--count", "8"])
@@ -810,6 +822,23 @@ def test_starfield_two_boost_overlay_warnings(runner, monkeypatch):
     )
     assert lines == ["warning: construction overlay incomplete (parallel chords)"]
     assert "A" in texts and "e[+]f" not in texts
+
+
+def test_starfield_csv_builds_no_overlay(runner, monkeypatch):
+    # CSV shows no overlay: it warns about none, and builds none
+    result = runner.invoke(main, ["starfield", "-v", "0.5", "--w", "-0.5", "--format", "csv"])
+    assert result.exit_code == 0 and result.stderr == "", result.output
+
+    def refuse(*args):
+        raise AssertionError("an overlay was built")
+
+    monkeypatch.setattr("menhir.cli.two_boost_fixed_points", refuse)
+    monkeypatch.setattr("menhir.cli.construct_composite_menhir", refuse)
+    for v, w in (("1/2", "i/3"), ("[-0.6731065092663897,0.7395455544721489]",
+                                  "[0.6731065092673464,-0.7395455544712781]")):
+        result = runner.invoke(main, ["starfield", "-v", v, "--w", w, "--format", "csv"])
+        assert result.exit_code == 0 and result.stderr == "", (v, w, result.output)
+        assert len(result.stdout.splitlines()) == 13
 
 
 def test_starfield_small_second_boost_falls_back(runner):
@@ -867,14 +896,26 @@ def test_starfield_two_boosts_are_the_two_letter_word(runner, v, w, count, spher
     assert np.abs(np.linalg.norm(shifted, axis=1) - 1.0).max() <= sphere
 
 
-def test_starfield_unsupported_dimension(runner):
+def test_starfield_unsupported_dimension(runner, monkeypatch):
+    message = "error: SVG rendering supports only the planar case, got dimension 3"
     result = runner.invoke(
         main, ["starfield", "-v", "[0.1,0.2,0.3]", "--format", "svg"]
     )
-    assert result.exit_code == 5
+    _one_error_line(result, 5, message)
     assert runner.invoke(
         main, ["starfield", "-v", "[0.1,0.2,0.3]", "--format", "csv"]
     ).exit_code == 0
+    # a superluminal second boost is read, and reported, first
+    _one_error_line(runner.invoke(main, ["starfield", "-v", "[0.1,0.2,0.3]", "--w", "[2,0,0]"]), 3)
+
+    # the dimension is refused before any star is shifted
+    def refuse(*args):
+        raise AssertionError("a star was shifted")
+
+    monkeypatch.setattr("menhir.cli.boost_star_shift", refuse)
+    monkeypatch.setattr("menhir.cli.apply_word", refuse)
+    for extra in ([], ["--w", "[0.3,0.2,0.1]"]):
+        _one_error_line(runner.invoke(main, ["starfield", "-v", "[0.1,0.2,0.3]", *extra]), 5, message)
 
 
 def test_starfield_determinism(runner):

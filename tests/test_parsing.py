@@ -14,6 +14,7 @@ from menhir.parsing import (
     format_element,
     format_number,
     parse_algebra_tag,
+    parse_bracket,
     parse_element,
     parse_number,
 )
@@ -30,6 +31,27 @@ def test_parse_numbers():
     for text in ("nan", "inf", "-inf", "1e400", "1/0", "0/0", "1e300/1e-300"):
         with pytest.raises(ElementParseError):
             parse_number(text)
+
+
+def test_numbers_are_ascii_rationals_and_decimals():
+    # a bracket component and a term read one grammar: an optional sign,
+    # an ASCII decimal, an optional ASCII denominator; whitespace is ignored
+    clifford2 = clifford(2)
+    assert parse_number("-1/2") == -0.5 and parse_number("+.5e1") == 5.0 and parse_number("1.") == 1.0
+    assert np.array_equal(parse_bracket("[ -1 / 2 , +.25 ]"), [-0.5, 0.25])
+    assert np.array_equal(parse_element("[1/2, -1e-1]", clifford2).coeffs,
+                          vector_embed(np.array([0.5, -0.1]), clifford2).coeffs)
+    # none of these is in the grammar, though float() reads most of them
+    for text in ("0.1_0", "1_0", "-1/-2", "1/+2", "\u0665", "1/\u0662", "+-1", "0x1", "Infinity"):
+        with pytest.raises(ElementParseError):
+            parse_number(text)
+        with pytest.raises(ElementParseError):
+            parse_element(f"[{text},0]", clifford2)
+    for text in ("\u0665", "\u0661i", "1/\u0662", "1_0", "0.1_0i"):
+        with pytest.raises(ElementParseError):
+            parse_element(text, COMPLEX)
+    with pytest.raises(ElementParseError):
+        parse_algebra_tag("clifford\u0663")
 
 
 def test_parse_algebra_tags():
