@@ -13,8 +13,9 @@ and both facts live inside one matrix identity
     M(e2) M(e1) = R(alpha, beta) M(e1 [+] e2),      M(e) = [[1, e], [e*, 1]]
 
 which holds entrywise in every supported algebra, with (alpha, beta) from
-`thomas_rotation` and e1 [+] e2 from `compose_menhirs`.  Functions here operate
-on `Element` values; the radial maps also accept plain vectors.
+`thomas_rotation` and e1 [+] e2 from `compose_menhirs`, both from one product:
+beta = conj(1 + conj(e1) e2) (see `_compose`).  Functions here operate on
+`Element` values; the radial maps also accept plain vectors.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def compose_menhirs(e1: Element, e2: Element) -> Element:
     """
     _check_ball(e1, "menhir")
     _check_ball(e2, "menhir")
-    return (e1 + e2) / (1.0 + e1.conjugate() * e2)
+    return _compose(e1, e2)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,15 +178,16 @@ class RotationDescriptor:
     Acts on sphere points by z -> alpha z beta^{-1}.  Over the complexes this
     collapses to multiplication by the unit number rho = alpha/beta; over
     imaginary quaternions and Clifford vectors alpha = beta and the action is
-    the familiar conjugation sandwich.  `thomas_rotation` then passes one
+    the familiar conjugation sandwich.  `_compose` then passes one
     element as both, and that is what marks a rotor pair: `beta is alpha`.
     """
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = ("alpha", "beta", "_rho")
 
     def __init__(self, alpha: Element, beta: Element):
         self.alpha = alpha
         self.beta = beta
+        self._rho = None
 
     @property
     def algebra(self):
@@ -197,8 +199,10 @@ class RotationDescriptor:
         return _rotor(self.alpha) if self.beta is self.alpha else None
 
     def rho(self) -> Element:
-        """alpha / beta; over the reals and complexes this is the unit rotation number."""
-        return self.alpha / self.beta
+        """alpha / beta, computed once: the unit rotation number over the reals and complexes."""
+        if self._rho is None:
+            self._rho = self.alpha / self.beta
+        return self._rho
 
     def matrix(self, model_dim: int) -> np.ndarray:
         """Matrix of the sandwich action on the model vector space, in closed
@@ -273,15 +277,28 @@ def thomas_rotation(e1: Element, e2: Element) -> RotationDescriptor:
     """Rotation left over after composing boost e1 (first) with boost e2."""
     _check_ball(e1, "menhir")
     _check_ball(e2, "menhir")
-    c1, c2 = e1.conjugate(), e2.conjugate()
-    alpha = 1.0 + e2 * c1
-    # beta is alpha bit for bit when conj(e) = -e for both menhirs (imaginary
-    # quaternions, Clifford vectors; a scalar part rules it out at once):
-    # (-e2) e1 has the terms of e2 (-e1), and `1.0 +` clears any -0.0
+    return _compose(e1, e2)[1]
+
+
+def _compose(e1: Element, e2: Element) -> tuple[Element, RotationDescriptor]:
+    """Composite menhir and Thomas pair of e1 then e2, unchecked, from one
+    product p = conj(e1) e2.  beta = 1 + conj(p) is 1 + conj(e2) e1 bit for
+    bit on vector menhirs (each coefficient of p sums at most two terms, the
+    scalar its terms in the same order).  alpha is beta, one element passed
+    twice, when conj(e) = -e for both (imaginary quaternions, Clifford
+    vectors), and 1 + p where products commute; full quaternions sum four
+    terms a coefficient in another order, so they keep both products."""
+    c1 = e1.conjugate()
+    p = c1 * e2
+    denominator = 1.0 + p
+    composite = (e1 + e2) / denominator
     if not (e1.coeffs[0] or e2.coeffs[0] or np.count_nonzero(c1.coeffs + e1.coeffs)
-            or np.count_nonzero(c2.coeffs + e2.coeffs)):
-        return RotationDescriptor(alpha, alpha)
-    return RotationDescriptor(alpha, 1.0 + c2 * e1)
+            or np.count_nonzero(e2.conjugate().coeffs + e2.coeffs)):
+        beta = 1.0 + p.conjugate()
+        return composite, RotationDescriptor(beta, beta)
+    if e1.algebra.dim <= 2:
+        return composite, RotationDescriptor(denominator, 1.0 + p.conjugate())
+    return composite, RotationDescriptor(1.0 + e2 * c1, 1.0 + e2.conjugate() * e1)
 
 
 class MoebiusMatrix:
@@ -324,9 +341,8 @@ def moebius_apply(m: MoebiusMatrix, z: Element) -> Element:
 def compose_velocities(v: Element, w: Element):
     """Relativistic composition: velocity of (boost v then boost w) plus the
     Thomas rotation, both via the menhir route."""
-    ev = menhir_of(v)
-    ew = menhir_of(w)
-    return velocity_of(compose_menhirs(ev, ew)), thomas_rotation(ev, ew)
+    composite, rotation = _compose(menhir_of(v), menhir_of(w))
+    return velocity_of(composite), rotation
 
 
 def rotation_axis_angle(e1: Element, e2: Element):

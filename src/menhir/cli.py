@@ -27,11 +27,10 @@ from .algebra import (QUATERNION, RESIDUE_BOUND, Element, UnsupportedDimensionEr
 from .calculus import (
     SuperluminalError,
     _check_ball,
-    compose_menhirs,
+    _compose,
     menhir_gap,
     menhir_of,
     refine_gap_argmax,
-    thomas_rotation,
     velocity_of,
 )
 from .parsing import ElementParseError, format_element, parse_algebra_tag, parse_bracket, parse_element
@@ -167,7 +166,7 @@ def _rotation_payload(descriptor):
     if descriptor.algebra.kind in ("real", "complex"):
         return format_element(descriptor.rho())
     alpha = format_element(descriptor.alpha)
-    # a rotor pair shares one element (see `thomas_rotation`): one text
+    # a rotor pair shares one element (see `calculus._compose`): one text
     beta = alpha if descriptor.beta is descriptor.alpha else format_element(descriptor.beta)
     return {"alpha": alpha, "beta": beta}
 
@@ -196,8 +195,7 @@ def compose(tag, v_text, w_text, fmt):
     """
     algebra = parse_algebra_tag(tag)
     ev, ew = (menhir_of(_parse_velocity(text, algebra)) for text in (v_text, w_text))
-    composite = compose_menhirs(ev, ew)
-    rotation = thomas_rotation(ev, ew)
+    composite, rotation = _compose(ev, ew)
     if rotation.beta is rotation.alpha:
         composite = _on_model(composite, rotation.alpha)
     u = velocity_of(composite)
@@ -519,10 +517,11 @@ def goldenscan(steps, out_path):
     _write(out_path, _csv("v,menhir,gap", None, np.column_stack([grid, grid - gaps, gaps])))
 
     v_star = refine_gap_argmax()
-    e_star = v_star - float(menhir_gap(v_star))
+    gap = float(menhir_gap(v_star))
+    e_star = v_star - gap
     click.echo(f"argmax v = {v_star!r}", err=True)
     click.echo(f"menhir e = {e_star!r}", err=True)
-    click.echo(f"gap v-e  = {float(menhir_gap(v_star))!r}", err=True)
+    click.echo(f"gap v-e  = {gap!r}", err=True)
     click.echo(f"ratio v:e = {v_star / e_star!r}", err=True)
 
 

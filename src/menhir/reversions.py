@@ -105,8 +105,8 @@ def boost_star_shift(a, v) -> np.ndarray:
 
 def two_boost_word(e, f) -> list:
     """Two boosts (e first, then f) collapse to the two-letter word (-e, f)."""
-    e = _interior(np.asarray(e, dtype=float), "menhir")
-    f = _interior(np.asarray(f, dtype=float), "menhir")
+    e = _interior(e, "menhir")
+    f = _interior(f, "menhir")
     return [-e, f]
 
 
@@ -148,9 +148,9 @@ def find_conjugate_point(a, b, a_new) -> np.ndarray:
     x(b') = x(b) x(a_new) / x(a).  The chord ends are the roots of
     |a + t u|^2 = 1, taken in cancellation-free form.
     """
-    a = _interior(np.asarray(a, dtype=float))
-    b = _interior(np.asarray(b, dtype=float))
-    a_new = _interior(np.asarray(a_new, dtype=float), "replacement point")
+    a = _interior(a)
+    b = _interior(b)
+    a_new = _interior(a_new, "replacement point")
     line_dir = b - a if np.linalg.norm(b - a) > DEGENERATE_ATOL else a_new - a
     if np.linalg.norm(line_dir) < DEGENERATE_ATOL:
         return b.copy()  # a == b == a_new: nothing to slide

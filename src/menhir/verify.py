@@ -62,7 +62,8 @@ def sample_direction(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sample_velocity(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
-    return sample_direction(rng, n) * rng.uniform(lo, hi)
+    # rng.uniform(lo, hi) by its definition, bit for bit, without its dispatch
+    return sample_direction(rng, n) * (lo + (hi - lo) * rng.random())
 
 
 def composition_trial(rng: np.random.Generator, key: str, tier: str = "normal"):

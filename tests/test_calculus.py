@@ -44,6 +44,7 @@ from util import (
     normalized,
     random_menhir,
     reference_angle,
+    reference_composition,
     reference_rotation_matrix,
     scalar_part,
     unit_vector,
@@ -434,6 +435,41 @@ def test_vector_menhirs_share_one_rotor():
             if e1.coeffs[0] or e2.coeffs[0]:
                 assert rot.beta is not rot.alpha
             assert rot.beta.coeffs.tobytes() == (1.0 + e2.conjugate() * e1).coeffs.tobytes()
+
+
+def _composition_velocities(rng, n, count):
+    """Velocity pairs of both tiers' speeds, and pairs of the special
+    velocities: zero, all -0.0, a -0.0 slot, one velocity and its opposite."""
+    for _ in range(count):
+        lo, hi, _ = TIERS["normal" if rng.random() < 0.5 else "stress"]
+        v, w = (sample_velocity(rng, n, lo, hi) for _ in range(2))
+        if rng.random() < 0.3:  # some slots -0.0
+            v[rng.random(n) < 0.4] = -0.0
+        yield v, w
+    d = sample_velocity(rng, n, 0.0, 0.95)
+    partial = d.copy()
+    partial[0] = -0.0
+    special = [np.zeros(n), np.full(n, -0.0), partial, d, -d]
+    yield from ((v, w) for v in special for w in special)
+
+
+def test_one_product_composition_is_the_frozen_route():
+    """The composite, alpha and beta of `compose_velocities`,
+    `compose_menhirs` and `thomas_rotation` are those of the route with one
+    product each, byte for byte, and so is which pairs share one rotor."""
+    rng = np.random.default_rng(2901)
+    for algebra, n in ALL + [(clifford(10), 10)]:
+        for v, w in _composition_velocities(rng, n, 40 if n == 10 else 300):
+            v, w = vector_embed(v, algebra), vector_embed(w, algebra)
+            e1, e2 = menhir_of(v), menhir_of(w)
+            composite, alpha, beta = reference_composition(e1, e2)
+            u, rot = compose_velocities(v, w)
+            assert u.coeffs.tobytes() == velocity_of(composite).coeffs.tobytes()
+            assert compose_menhirs(e1, e2).coeffs.tobytes() == composite.coeffs.tobytes()
+            for rotation in (rot, thomas_rotation(e1, e2)):
+                assert rotation.alpha.coeffs.tobytes() == alpha.coeffs.tobytes()
+                assert rotation.beta.coeffs.tobytes() == beta.coeffs.tobytes()
+                assert (rotation.beta is rotation.alpha) == (beta is alpha)
 
 
 def test_rotation_matrix_matches_sandwich_reference():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from menhir import lorentz
 from menhir.algebra import COMPLEX, QUATERNION, RESIDUE_BOUND, Algebra, Element, vector_embed
-from menhir.calculus import RotationDescriptor, compose_menhirs, menhir_gap, menhir_of, velocity_of
+from menhir.calculus import RotationDescriptor, _compose, compose_menhirs, menhir_gap, menhir_of, velocity_of
 from menhir.cli import (_ORJSON_AS_REPR, OffModelError, _csv, _on_model, _orjson_as_repr, _read_catalog,
                         _shift_table, main)
 from menhir.lorentz import axis_projection_shift, composition_split
@@ -352,16 +352,20 @@ def test_compose_composite_reads_back_as_a_velocity(runner, tag, n):
 def test_compose_off_model_composite_is_one_clean_error(runner, monkeypatch):
     # a scalar part of 1e-6 or 1e-9 leaves the vector model by far more than
     # rounding: exit 1, one error line and no output; 5e-13 is rounding and
-    # is dropped
+    # is dropped.  The composite comes from the route that also gives the
+    # Thomas pair, which stays as it is
     def skewed(scalar):
-        return lambda e1, e2: compose_menhirs(e1, e2) + scalar
+        def route(e1, e2):
+            composite, rotation = _compose(e1, e2)
+            return composite + scalar, rotation
+        return route
 
     cases = (("clifford3", "[0.1,0.2,0.3]", "[0.3,-0.2,0.1]"), ("quaternion", "0.5i", "0.5j"))
     for (tag, v_text, w_text), skew in itertools.product(cases, (1e-6, 1e-9)):
         args = ["compose", "-a", tag, "-v", v_text, "-w", w_text]
-        monkeypatch.setattr("menhir.cli.compose_menhirs", skewed(skew))
+        monkeypatch.setattr("menhir.cli._compose", skewed(skew))
         _one_error_line(runner.invoke(main, args), 1, "error: composite menhir is off the")
-        monkeypatch.setattr("menhir.cli.compose_menhirs", skewed(5e-13))
+        monkeypatch.setattr("menhir.cli._compose", skewed(5e-13))
         result = runner.invoke(main, args)
         assert result.exit_code == 0, (tag, result.output)
         monkeypatch.undo()

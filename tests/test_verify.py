@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from menhir import verify
+from menhir import calculus, lorentz, verify
 from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, vector_embed, vector_part
 from menhir.calculus import compose_menhirs, menhir_of, thomas_rotation, velocity_of
 from util import (
@@ -28,6 +28,38 @@ def _drawn_pairs(monkeypatch, seed, trials=1000, key="clifford3"):
     monkeypatch.setattr(verify, "composition_trial", recording)
     verify.run_equivalence(key, trials, seed)
     return pairs
+
+
+def test_a_trial_checks_each_input_once(monkeypatch):
+    """A trial runs the ball check at most five times: on its two velocities
+    (`menhir_of`), on the composite (`velocity_of`) and in the oracle's own
+    two; the menhirs are not checked again."""
+    checked, check = [], calculus._check_ball
+
+    def counting(x, what):
+        checked.append(what)
+        return check(x, what)
+
+    for module in (calculus, lorentz):
+        monkeypatch.setattr(module, "_check_ball", counting)
+    for key in verify.CONFIGS:
+        for tier in verify.TIERS:
+            checked.clear()
+            _TRIAL(np.random.default_rng([2902, 0]), key, tier)
+            assert len(checked) <= 5, (key, tier, checked)
+
+
+def test_sample_velocity_draws_as_uniform():
+    """`sample_velocity` scales by rng.uniform(lo, hi) written out: the same
+    bits over many trial keys, and the generator left in the same state."""
+    for seed in range(40):
+        for index in range(25):
+            n = 1 + (seed + index) % 5
+            for lo, hi, _ in verify.TIERS.values():
+                ours, numpy_ = (np.random.default_rng([seed, index]) for _ in range(2))
+                expected = verify.sample_direction(numpy_, n) * numpy_.uniform(lo, hi)
+                assert verify.sample_velocity(ours, n, lo, hi).tobytes() == expected.tobytes()
+                assert ours.random() == numpy_.random()
 
 
 def test_master_seeds_draw_independent_trials(monkeypatch):

@@ -7,6 +7,9 @@ built by sandwiching each basis vector.  The table-driven kernel in
 `menhir.algebra` is checked against them.  So are the closed-form Thomas
 angle, against the angle read from the trace of the rotation matrix, and the
 number formatting of `menhir.parsing`, against `Fraction.limit_denominator`.
+`reference_composition` freezes the composition route with one product each
+for the composite, alpha and beta (alpha for both on a rotor pair), which
+`calculus._compose`, one product for all three, must match byte for byte.
 `reference_boost_matrix` and `reference_polar_decompose` freeze the
 oracle's boost and float64 split as first written, the split a product with
 a third boost B(-u) that cancels entries of size gamma^2; the package's
@@ -303,6 +306,20 @@ def reference_format_element(x) -> str:
         sign = "-" if value < 0 else ("+" if parts else "")
         parts.append(sign + body + unit)
     return "".join(parts) if parts else "0"
+
+
+def reference_composition(e1, e2):
+    """`compose_menhirs` and `thomas_rotation` as first written, one product
+    each: the composite (e1 + e2)(1 + conj(e1) e2)^{-1}, alpha = 1 + e2
+    conj(e1) and beta = 1 + conj(e2) e1, beta being the alpha object itself
+    when conj(e) = -e for both menhirs.  Returns (composite, alpha, beta)."""
+    c1, c2 = e1.conjugate(), e2.conjugate()
+    composite = (e1 + e2) / (1.0 + c1 * e2)
+    alpha = 1.0 + e2 * c1
+    if not (e1.coeffs[0] or e2.coeffs[0] or np.count_nonzero(c1.coeffs + e1.coeffs)
+            or np.count_nonzero(c2.coeffs + e2.coeffs)):
+        return composite, alpha, alpha
+    return composite, alpha, 1.0 + c2 * e1
 
 
 def reference_boost_matrix(v) -> np.ndarray:
