@@ -73,13 +73,14 @@ def _check_ball(x, what: str) -> float:
     return n
 
 
-def menhir_of(v):
+def menhir_of(v, what: str = "velocity"):
     """Menhir of a velocity: e = v / (1 + sqrt(1 - |v|^2)).
 
     Accepts an `Element` of a vector model or a plain real vector; the result
-    is the same kind of object, parallel to the input.
+    is the same kind of object, parallel to the input.  A velocity outside
+    the ball is a SuperluminalError that names it as `what`.
     """
-    n = _check_ball(v, "velocity")
+    n = _check_ball(v, what)
     return v * (1.0 / (1.0 + math.sqrt(1.0 - n * n)))
 
 

@@ -100,7 +100,69 @@ def _quoting(**values):
     return fill
 
 
-@click.group()
+class _ParserOnceCommand(click.Command):
+    """A command that builds its click option parser once, on its first
+    request, and parses each request with a shallow copy of it: the copy
+    takes the request's context, allow_interspersed_args and
+    ignore_unknown_options, and shares the option tables, which a parse only
+    reads.  The template is built again when the help option names change.
+    Click's per-request build stays where the context sets a
+    token_normalize_func, or where click's private parser lacks a member used
+    here (click 9 drops `_OptionParser`).
+
+    A token equal to a one-letter option (-a, -v, -w) is matched as that
+    option at once: click tries every token as a long option first, and the
+    miss builds a NoSuchOption (gettext and difflib).  Any other token
+    (-a=complex, -acomplex) takes click's own path.
+
+    `get_params` skips click's per-call scan for an option declared twice;
+    tests/test_cli.py runs that check once per command."""
+
+    #: (help option names, parser with no context) of the request that built it
+    _template = (None, None)
+
+    def get_params(self, ctx):
+        help_option = self.get_help_option(ctx)
+        return self.params if help_option is None else [*self.params, help_option]
+
+    def make_parser(self, ctx):
+        names, template = self._template
+        if names != ctx.help_option_names or ctx.token_normalize_func:
+            template = super().make_parser(ctx)
+            if not _has_private_members(template):
+                return template
+            if ctx.token_normalize_func:
+                return _short_first(template)
+            template.ctx = None
+            self._template = list(ctx.help_option_names), template
+        # a shallow copy: object.__new__ and one dict update cost a fifth of copy.copy
+        parser = object.__new__(type(template))
+        parser.__dict__.update(vars(template), ctx=ctx,
+                               allow_interspersed_args=ctx.allow_interspersed_args,
+                               ignore_unknown_options=ctx.ignore_unknown_options)
+        return _short_first(parser)
+
+
+def _has_private_members(parser) -> bool:
+    """Whether click's private parser has the members `_short_first` uses."""
+    return (isinstance(getattr(parser, "_short_opt", None), dict)
+            and callable(getattr(parser, "_match_short_opt", None))
+            and callable(getattr(parser, "_process_opts", None)))
+
+
+def _short_first(parser):
+    """The parser, its `_process_opts` sending a token equal to a registered
+    one-letter option straight to the short-option match."""
+    short, match_short, process = parser._short_opt, parser._match_short_opt, parser._process_opts
+    parser._process_opts = lambda arg, state: (match_short if arg in short else process)(arg, state)
+    return parser
+
+
+class _ParserOnceGroup(_ParserOnceCommand, click.Group):
+    command_class = _ParserOnceCommand
+
+
+@click.group(cls=_ParserOnceGroup)
 def main():
     """Relativistic velocity composition through menhirs.
 
@@ -108,26 +170,6 @@ def main():
     ("3i/5", "1/2+i/3"); Clifford vectors as bracketed component lists
     ("[0.1,0.2,0.3]").  Algebra tags: real, complex, quaternion, clifford<N>.
     """
-
-
-class _ShortFirstCommand(click.Command):
-    """A command whose parser matches a token equal to one of its one-letter
-    options (-a, -v, -w) as that option at once.  Click tries every option
-    token as a long option first, and on such a token the miss builds a
-    NoSuchOption (a gettext lookup and a difflib search) before the short
-    match; any other token (-a=complex, -acomplex) takes click's own path.
-    Where click's private parser lacks a member used here, it is left as is."""
-
-    def make_parser(self, ctx):
-        parser = super().make_parser(ctx)
-        short, process = getattr(parser, "_short_opt", None), getattr(parser, "_process_opts", None)
-        match_short = getattr(parser, "_match_short_opt", None)
-        if isinstance(short, dict) and callable(match_short) and callable(process):
-            parser._process_opts = lambda arg, state: (match_short if arg in short else process)(arg, state)
-        return parser
-
-
-main.command_class = _ShortFirstCommand
 
 
 def _vector(x, n: int, text: str) -> np.ndarray:
@@ -138,12 +180,13 @@ def _vector(x, n: int, text: str) -> np.ndarray:
         raise ElementParseError(f"{text!r} is not a {n}-vector velocity") from exc
 
 
-def _parse_velocity(text: str, algebra):
+def _parse_menhir(text: str, algebra):
+    """The menhir of the velocity text; a speed of 1 or more is an error that
+    quotes the text."""
     x = parse_element(text, algebra)
     if algebra.kind == "clifford":
         _vector(x, algebra.n_gen, text)
-    _check_ball(x, text)
-    return x
+    return menhir_of(x, text)
 
 
 def _on_model(composite: Element, alpha: Element) -> Element:
@@ -194,7 +237,7 @@ def compose(tag, v_text, w_text, fmt):
     is the norm of the printed velocity.
     """
     algebra = parse_algebra_tag(tag)
-    ev, ew = (menhir_of(_parse_velocity(text, algebra)) for text in (v_text, w_text))
+    ev, ew = (_parse_menhir(text, algebra) for text in (v_text, w_text))
     composite, rotation = _compose(ev, ew)
     if rotation.beta is rotation.alpha:
         composite = _on_model(composite, rotation.alpha)

@@ -1,4 +1,5 @@
 import codecs
+import collections
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from menhir import lorentz
+from menhir import calculus, cli, lorentz
 from menhir.algebra import COMPLEX, QUATERNION, RESIDUE_BOUND, Algebra, Element, vector_embed
 from menhir.calculus import RotationDescriptor, _compose, compose_menhirs, menhir_gap, menhir_of, velocity_of
 from menhir.cli import (_ORJSON_AS_REPR, OffModelError, _csv, _on_model, _orjson_as_repr, _read_catalog,
@@ -300,11 +301,8 @@ _SPELLINGS = [
 ]
 
 
-@pytest.mark.parametrize("argv, exit_code, stderr, misses", _SPELLINGS,
-                         ids=[" ".join(case[0]) for case in _SPELLINGS])
-def test_option_spellings_keep_their_outcome(runner, monkeypatch, argv, exit_code, stderr, misses):
-    # a token equal to a one-letter option (-a, -v, -w) is matched with no
-    # NoSuchOption built
+def _outcome(runner, monkeypatch, argv, **extra):
+    """(exit code, stdout, stderr, NoSuchOption errors built) of one request."""
     built = []
     init = click.exceptions.NoSuchOption.__init__
 
@@ -312,11 +310,133 @@ def test_option_spellings_keep_their_outcome(runner, monkeypatch, argv, exit_cod
         built.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(click.exceptions.NoSuchOption, "__init__", counting_init)
-    result = runner.invoke(main, argv)
-    assert (result.exit_code, result.stderr, len(built)) == (exit_code, stderr, misses)
+    with monkeypatch.context() as patch:
+        patch.setattr(click.exceptions.NoSuchOption, "__init__", counting_init)
+        result = runner.invoke(main, argv, **extra)
+    return result.exit_code, result.stdout, result.stderr, len(built)
+
+
+@pytest.mark.parametrize("argv, exit_code, stderr, misses", _SPELLINGS,
+                         ids=[" ".join(case[0]) for case in _SPELLINGS])
+def test_option_spellings_keep_their_outcome(runner, monkeypatch, argv, exit_code, stderr, misses):
+    # a token equal to a one-letter option (-a, -v, -w) is matched with no
+    # NoSuchOption built
+    code, stdout, err, built = _outcome(runner, monkeypatch, argv)
+    assert (code, err, built) == (exit_code, stderr, misses)
     if exit_code == 0:
-        assert result.stdout == runner.invoke(main, _SHORT_SPELLING[argv[0]]).stdout
+        assert stdout == runner.invoke(main, _SHORT_SPELLING[argv[0]]).stdout
+
+
+class _OpaqueParser:
+    """A parser with none of click's private members that the CLI reaches
+    into: only what `click.Command.parse_args` reads."""
+
+    def __init__(self, parser):
+        self.parse_args, self._opt_prefixes = parser.parse_args, parser._opt_prefixes
+
+
+def test_parser_reuse_keeps_every_outcome(runner, monkeypatch):
+    """Each command builds its parser once and copies it per request; no
+    context a request brings (order, resilient parsing, program name, help
+    option names, a token normaliser) changes another request's outcome, and
+    the per-request build where click's parser is opaque keeps the bytes."""
+    first = [_outcome(runner, monkeypatch, argv) for argv, *_ in _SPELLINGS]
+    assert [outcome[0::2] for outcome in first] == [(code, stderr) for _, code, stderr, _ in _SPELLINGS]
+    assert [outcome[3] for outcome in first] == [misses for *_, misses in _SPELLINGS]
+    again = [_outcome(runner, monkeypatch, argv) for argv, *_ in reversed(_SPELLINGS)]
+    assert again[::-1] == first
+
+    unknown = ["compose", "-x", "1"]
+    expected = first[[argv for argv, *_ in _SPELLINGS].index(unknown)]
+    compose = main.commands["compose"]
+    ctx = main.make_context("main", unknown, resilient_parsing=True)
+    compose.make_context("compose", unknown[1:], parent=ctx, resilient_parsing=True)  # raises nothing
+    assert _outcome(runner, monkeypatch, unknown) == expected
+    renamed = _outcome(runner, monkeypatch, unknown, prog_name="menhir")
+    assert renamed[2].startswith("Usage: menhir compose [OPTIONS]\nTry 'menhir compose --help'")
+    assert renamed[2].replace("menhir compose", "main compose") == expected[2]
+    assert _outcome(runner, monkeypatch, unknown) == expected
+
+    # a context setting that reaches the parser: click's own per-request
+    # build gives the same bytes, and the next plain request is unchanged
+    for extra in ({"help_option_names": []}, {"allow_interspersed_args": True},
+                  {"ignore_unknown_options": True}, {"token_normalize_func": str.upper}):
+        for argv in (_SHORT_SPELLING["compose"], ["compose", "--help"], ["-x", *unknown], ["compose", "-X", "1"]):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli._ParserOnceCommand, "make_parser", click.Command.make_parser)
+                patch.setattr(cli._ParserOnceCommand, "get_params", click.Command.get_params)
+                clicks = _outcome(runner, monkeypatch, argv, **extra)
+            assert _outcome(runner, monkeypatch, argv, **extra)[:3] == clicks[:3], (extra, argv)
+            assert _outcome(runner, monkeypatch, unknown) == expected
+
+    # two requests, two parsers over the same option tables
+    made, make_parser = [], cli._ParserOnceCommand.make_parser
+
+    def recording(self, ctx):
+        made.append(make_parser(self, ctx))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._ParserOnceCommand, "make_parser", recording)
+        for _ in range(2):
+            runner.invoke(main, _SHORT_SPELLING["compose"])
+    assert len(made) == 4 and made[1] is not made[3] and made[1].ctx is not made[3].ctx
+    assert made[1]._long_opt is made[3]._long_opt and "--velocity" in made[1]._long_opt
+
+    # where click's parser lacks the private members, a parser per request
+    built, build = [], click.Command.make_parser
+
+    def opaque(self, ctx):
+        built.append(self.name)
+        return _OpaqueParser(build(self, ctx))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(click.Command, "make_parser", opaque)
+        for command in (main, *main.commands.values()):
+            patch.setattr(command, "_template", (None, None))
+        for _ in range(2):
+            fallback = [_outcome(runner, monkeypatch, argv) for argv, *_ in _SPELLINGS]
+            assert [outcome[:3] for outcome in fallback] == [outcome[:3] for outcome in first]
+    assert built.count("compose") == 2 * sum(argv[0] == "compose" for argv, *_ in _SPELLINGS)
+
+
+def _declared_twice(command):
+    """The option strings that the command, its help option included,
+    declares more than once."""
+    params = [*command.params, command.get_help_option(click.Context(command))]
+    opts = collections.Counter(opt for param in params if param is not None
+                               for opt in (*param.opts, *param.secondary_opts))
+    return sorted(opt for opt, count in opts.items() if count > 1)
+
+
+def test_no_option_is_declared_twice():
+    """Once for every command, the scan click's get_params ran on each call."""
+    assert sorted(main.commands) == ["aberrate", "compose", "goldenscan", "starfield", "verify"]
+    for command in (main, *main.commands.values()):
+        assert _declared_twice(command) == [], command.name
+    scratch = click.Command("scratch", params=[click.Option(["-v", "--velocity"]), click.Option(["-v"])])
+    assert _declared_twice(scratch) == ["-v"]
+
+
+def test_compose_checks_each_velocity_once(runner, monkeypatch):
+    """A request runs the ball check three times: on its two velocities and
+    on the composite menhir; the superluminal error quotes the text given."""
+    checked, check = [], calculus._check_ball
+
+    def counting(x, what):
+        checked.append(what)
+        return check(x, what)
+
+    for module in (calculus, cli):
+        monkeypatch.setattr(module, "_check_ball", counting)
+    ten = "[" + ",".join(["0.1"] * 10) + "]"
+    for argv in (["-a", "complex", *_COMPOSE_EXAMPLE], ["-a", "clifford10", "-v", ten, "-w", ten]):
+        checked.clear()
+        assert runner.invoke(main, ["compose", *argv]).exit_code == 0
+        assert len(checked) == 3, checked
+    result = runner.invoke(main, ["compose", "-v", "0", "-w", "3/5+4i/5"])
+    _one_error_line(result, 3)
+    assert result.stderr == "error: |3/5+4i/5| = 1.0 is not strictly below 1\n"
 
 
 def _off_model_slots(text, algebra):
