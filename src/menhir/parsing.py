@@ -14,13 +14,13 @@ within 4 ulps of a rational p/q with q <= 10^6 as `p/q`, anything else as
 it.  A float continued fraction screens the value first: when exact checks
 certify that no such p/q lies within 5 ulps, the repr prints at once, as it
 does for all but about 0.05% of random coefficients.  Otherwise the exact
-search decides: the continued-fraction best approximation of
-`Fraction.limit_denominator`, computed in plain ints.  The screen skips work
-only; the text is what the exact search alone would print.  A nonzero value
-below 5e-7 in magnitude (rounding residues, subnormals) always prints as its
-repr: no such p/q but 0 lies within 4 ulps of it.  Zero coefficients print as
-"0" without either step, which matters for the 2^n coefficients of a Clifford
-element.  NaN and +-inf print as their repr, which does not parse back.
+search decides: the closest p/q, by `Fraction.limit_denominator`.  The screen
+skips work only; the text is what the exact search alone would print.  A
+nonzero value below 5e-7 in magnitude (rounding residues, subnormals) always
+prints as its repr: no such p/q but 0 lies within 4 ulps of it.  Zero
+coefficients print as "0" without either step, which matters for the 2^n
+coefficients of a Clifford element.  NaN and +-inf print as their repr, which
+does not parse back.
 """
 
 from __future__ import annotations
@@ -175,35 +175,6 @@ _PRINT_ULPS = 4
 _SCREEN_ULPS = _PRINT_ULPS + 1
 
 
-def _best_rational(x: float) -> tuple[int, int]:
-    """`Fraction(x).limit_denominator(_MAX_DENOMINATOR)` as (p, q): the closest
-    p/q with q <= _MAX_DENOMINATOR, the last convergent winning a tie with the
-    semiconvergent.  The loop follows the denominators alone; each numerator
-    is then the integer nearest q x.  The last convergent's numerator is that
-    integer, and so is the semiconvergent's when q1 >= 2 (both lie within 1/2
-    of q x); when q1 = 1 they differ only where the convergent wins anyway."""
-    num, den = x.as_integer_ratio()
-    if den <= _MAX_DENOMINATOR:
-        return num, den
-    q0, q1 = 1, 0
-    n, d = num, den
-    while True:
-        a, r = divmod(n, d)
-        q2 = q0 + a * q1
-        if q2 > _MAX_DENOMINATOR:
-            break
-        q0, q1 = q1, q2
-        n, d = d, r
-    q2 = q0 + (_MAX_DENOMINATOR - q0) // q1 * q1
-    # nearest integers to q num / den, exactly
-    p1 = (2 * q1 * num + den) // (2 * den)
-    p2 = (2 * q2 * num + den) // (2 * den)
-    # |p1/q1 - x| <= |p2/q2 - x|, both sides multiplied by q1 q2 den
-    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
-        return p1, q1
-    return p2, q2
-
-
 def _far_from_small_rationals(x: float) -> bool:
     """True only when no p/q with q <= _MAX_DENOMINATOR lies within
     _SCREEN_ULPS ulps of x, a non-integral float of at least _REPR_BELOW.
@@ -244,15 +215,18 @@ def _far_from_small_rationals(x: float) -> bool:
 def format_number(x: float) -> str:
     """Text for a float: an integer when x is integral, a small rational when
     one sits within 4 ulps, otherwise the full repr.  Either form of a finite
-    x parses back to within 4 ulps."""
+    x parses back to within 4 ulps.  Past the screen the rational is the one
+    `Fraction(x).limit_denominator(_MAX_DENOMINATOR)` finds."""
     x = float(x)
     if x.is_integer():
         return str(int(x))
     if abs(x) < _REPR_BELOW or not abs(x) < math.inf or _far_from_small_rationals(abs(x)):
         return repr(x)
-    p, q = _best_rational(x)
-    if abs(p / q - x) <= _PRINT_ULPS * math.ulp(x):
-        return f"{p}/{q}"
+    from fractions import Fraction  # not at import time: it loads decimal too
+
+    best = Fraction(x).limit_denominator(_MAX_DENOMINATOR)
+    if abs(float(best) - x) <= _PRINT_ULPS * math.ulp(x):
+        return f"{best.numerator}/{best.denominator}"
     return repr(x)
 
 

@@ -96,10 +96,9 @@ def apply_word(a, word) -> np.ndarray:
 
 def boost_star_shift(a, v) -> np.ndarray:
     """Star shift under a boost by velocity v: the word (origin, menhir)."""
-    a = np.asarray(a, dtype=float)
     e = menhir_of(np.asarray(v, dtype=float))
     if not e.any():  # null boost: the word (o, o) is exactly the identity
-        return a.copy()
+        return apply_word(a, []).copy()  # the empty word still checks the stars
     return apply_word(a, [np.zeros_like(e), e])
 
 

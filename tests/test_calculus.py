@@ -167,22 +167,36 @@ def test_loop_axioms():
             assert max_diff(compose_menhirs(e, zero), e) <= 1e-15
             assert max_diff(compose_menhirs(zero, e), e) <= 1e-15
             assert compose_menhirs(e, -e).norm() <= 1e-15
-    # Ungar's gyrocommutative law e1 [+] e2 = alpha^{-1} (e2 [+] e1) beta, with
-    # (alpha, beta) the Thomas pair, and left cancellation
-    # (-e1) [+] (e1 [+] e2) = e2, on every lane in both tiers
+    # Ungar's gyrocommutative law e1 [+] e2 = gyr[e1, e2](e2 [+] e1), with
+    # gyr[e1, e2]z = alpha^{-1} z beta from the Thomas pair (alpha, beta) of
+    # (e1, e2); left cancellation (-e1) [+] (e1 [+] e2) = e2; the left and
+    # right gyroassociative laws e1 [+] (e2 [+] e3) = (e1 [+] e2) [+]
+    # gyr[e1, e2]e3 and (e1 [+] e2) [+] e3 = e1 [+] (e2 [+] gyr[e2, e1]e3);
+    # and |alpha| = |beta|, relative to |beta|; on every lane in both tiers
     for tier in TIERS:
         for key in CONFIGS:
-            gyration = cancellation = 0.0
+            gyration = cancellation = left = right = pair = 0.0
             for i in range(200):
-                e1, e2 = _tier_menhirs(i, key, tier, 2)
-                rot = thomas_rotation(e1, e2)
+                e1, e2, e3 = _tier_menhirs(i, key, tier, 3)
+                rot, back = thomas_rotation(e1, e2), thomas_rotation(e2, e1)
+                e12 = compose_menhirs(e1, e2)
                 swapped = rot.alpha.inverse() * compose_menhirs(e2, e1) * rot.beta
-                gyration = max(gyration, max_diff(compose_menhirs(e1, e2), swapped))
-                cancellation = max(cancellation,
-                                   max_diff(compose_menhirs(-e1, compose_menhirs(e1, e2)), e2))
+                gyration = max(gyration, max_diff(e12, swapped))
+                cancellation = max(cancellation, max_diff(compose_menhirs(-e1, e12), e2))
+                left = max(left, max_diff(
+                    compose_menhirs(e1, compose_menhirs(e2, e3)),
+                    compose_menhirs(e12, rot.alpha.inverse() * e3 * rot.beta)))
+                right = max(right, max_diff(
+                    compose_menhirs(e12, e3),
+                    compose_menhirs(e1, compose_menhirs(e2, back.alpha.inverse() * e3 * back.beta))))
+                beta = rot.beta.norm()
+                pair = max(pair, abs(rot.alpha.norm() - beta) / beta)
             print(f"{tier} {key}: gyrocommutativity {gyration:.3g},",
-                  f"left cancellation {cancellation:.3g}")
+                  f"left cancellation {cancellation:.3g},",
+                  f"left gyroassociativity {left:.3g}, right {right:.3g},",
+                  f"|alpha| - |beta| {pair:.3g} relative")
             assert gyration <= 1e-14 and cancellation <= 1e-12
+            assert left <= 1e-13 and right <= 1e-13 and pair <= 1e-14
 
 
 def test_boost_words_are_pseudo_unitary():

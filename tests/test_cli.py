@@ -3,7 +3,11 @@ import collections
 import itertools
 import json
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -1126,3 +1130,15 @@ def test_csv_outputs_are_byte_deterministic(runner, tmp_path):
 
     scans = [runner.invoke(main, ["goldenscan", "--steps", "120"]).output for _ in range(2)]
     assert scans[0] == scans[1]
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    """`format_number` imports `fractions` (which imports `decimal`) only for
+    a value that gets past its screen, so a fresh `import menhir.cli` loads
+    neither module."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = "import sys, menhir.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -230,16 +230,17 @@ def test_format_number_screen_edges_match_fraction_reference():
 
 def test_format_number_screen_skips_the_exact_search_only_far_from_rationals(monkeypatch):
     """The float screen certifies nearly every random coefficient, so the
-    exact rational search runs on few of them; it still runs on every input
-    with a p/q (q <= 10^6) within `_SCREEN_ULPS` ulps."""
+    exact rational search, `Fraction.limit_denominator`, runs on few of them;
+    it still runs on every input with a p/q (q <= 10^6) within `_SCREEN_ULPS`
+    ulps."""
     searched = []
-    best_rational = parsing._best_rational
+    limit_denominator = Fraction.limit_denominator
 
-    def counted(x):
-        searched.append(x)
-        return best_rational(x)
+    def counted(self, max_denominator):
+        searched.append(float(self))
+        return limit_denominator(self, max_denominator)
 
-    monkeypatch.setattr(parsing, "_best_rational", counted)
+    monkeypatch.setattr(Fraction, "limit_denominator", counted)
     for x in np.random.default_rng(65).uniform(-1.0, 1.0, 10_000).tolist():
         format_number(x)
     assert len(searched) <= 10

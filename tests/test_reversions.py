@@ -122,6 +122,18 @@ def test_empty_batch_maps_to_an_empty_batch():
         assert out.shape == (0, n)
 
 
+def test_null_boost_checks_its_stars():
+    # the null boost takes the stars as they are, bit for bit, but only stars
+    # on the sphere, as every other boost does
+    for v in ([0.0, 0.0], [0.5, 0.0]):
+        with pytest.raises(ValueError, match="unit norm"):
+            boost_star_shift([[2.0, 0.0]], v)
+    rng = np.random.default_rng(31)
+    stars = np.array([[-0.0, 1.0, 0.0]] + [unit_vector(rng, 3) for _ in range(4)])
+    out = boost_star_shift(stars, np.zeros(3))
+    assert out is not stars and out.tobytes() == stars.tobytes()
+
+
 def test_origin_then_menhir_is_moebius_boost():
     rng = np.random.default_rng(44)
     for _ in range(200):

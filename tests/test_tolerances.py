@@ -16,6 +16,7 @@ import os
 import shutil
 import struct
 import sys
+from fractions import Fraction
 
 import numpy as np
 import orjson
@@ -43,7 +44,7 @@ from menhir.calculus import (
 )
 from menhir.cli import (_ORJSON_AS_REPR, _ZERO_DIRECTION_SQ, _json_floats, _orjson_as_repr, _read_catalog,
                         _shift_table)
-from menhir.parsing import _REPR_BELOW, _best_rational, format_number
+from menhir.parsing import _MAX_DENOMINATOR, _REPR_BELOW, format_number
 from menhir.reversions import (
     COINCIDENT_ATOL,
     COLLINEAR_ATOL,
@@ -326,7 +327,7 @@ def test_repr_below_is_exact():
     above it `format_number` still matches the Fraction reference."""
     assert _REPR_BELOW == 5e-7
     below = math.nextafter(_REPR_BELOW, 0.0)
-    assert _best_rational(below)[0] == 0
+    assert Fraction(below).limit_denominator(_MAX_DENOMINATOR).numerator == 0
     for x in np.linspace(_REPR_BELOW / 2, 2 * _REPR_BELOW, 201).tolist() + [below, _REPR_BELOW]:
         assert format_number(x) == reference_format_number(x)
 
