@@ -105,10 +105,10 @@ class _ParserOnceCommand(click.Command):
     request, and parses each request with a shallow copy of it: the copy
     takes the request's context, allow_interspersed_args and
     ignore_unknown_options, and shares the option tables, which a parse only
-    reads.  The template is built again when the help option names change.
-    Click's per-request build stays where the context sets a
-    token_normalize_func, or where click's private parser lacks a member used
-    here (click 9 drops `_OptionParser`).
+    reads.  The template is built again when what the build reads of the
+    context changes: the help option names, and the token_normalize_func
+    that spells the table keys.  Click's per-request build stays where its
+    private parser lacks a member used here (click 9 drops `_OptionParser`).
 
     A token equal to a one-letter option (-a, -v, -w) is matched as that
     option at once: click tries every token as a long option first, and the
@@ -118,7 +118,7 @@ class _ParserOnceCommand(click.Command):
     `get_params` skips click's per-call scan for an option declared twice;
     tests/test_cli.py runs that check once per command."""
 
-    #: (help option names, parser with no context) of the request that built it
+    #: ((help option names, token normaliser), parser with no context) of its build
     _template = (None, None)
 
     def get_params(self, ctx):
@@ -126,36 +126,21 @@ class _ParserOnceCommand(click.Command):
         return self.params if help_option is None else [*self.params, help_option]
 
     def make_parser(self, ctx):
-        names, template = self._template
-        if names != ctx.help_option_names or ctx.token_normalize_func:
+        key, template = self._template
+        if key != (ctx.help_option_names, ctx.token_normalize_func):
             template = super().make_parser(ctx)
-            if not _has_private_members(template):
+            if not {"_short_opt", "_match_short_opt", "_process_opts"} <= set(dir(template)):
                 return template
-            if ctx.token_normalize_func:
-                return _short_first(template)
             template.ctx = None
-            self._template = list(ctx.help_option_names), template
+            self._template = (list(ctx.help_option_names), ctx.token_normalize_func), template
         # a shallow copy: object.__new__ and one dict update cost a fifth of copy.copy
         parser = object.__new__(type(template))
         parser.__dict__.update(vars(template), ctx=ctx,
                                allow_interspersed_args=ctx.allow_interspersed_args,
                                ignore_unknown_options=ctx.ignore_unknown_options)
-        return _short_first(parser)
-
-
-def _has_private_members(parser) -> bool:
-    """Whether click's private parser has the members `_short_first` uses."""
-    return (isinstance(getattr(parser, "_short_opt", None), dict)
-            and callable(getattr(parser, "_match_short_opt", None))
-            and callable(getattr(parser, "_process_opts", None)))
-
-
-def _short_first(parser):
-    """The parser, its `_process_opts` sending a token equal to a registered
-    one-letter option straight to the short-option match."""
-    short, match_short, process = parser._short_opt, parser._match_short_opt, parser._process_opts
-    parser._process_opts = lambda arg, state: (match_short if arg in short else process)(arg, state)
-    return parser
+        short, match_short, process = parser._short_opt, parser._match_short_opt, parser._process_opts
+        parser._process_opts = lambda arg, state: (match_short if arg in short else process)(arg, state)
+        return parser
 
 
 class _ParserOnceGroup(_ParserOnceCommand, click.Group):

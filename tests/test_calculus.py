@@ -172,31 +172,51 @@ def test_loop_axioms():
     # (e1, e2); left cancellation (-e1) [+] (e1 [+] e2) = e2; the left and
     # right gyroassociative laws e1 [+] (e2 [+] e3) = (e1 [+] e2) [+]
     # gyr[e1, e2]e3 and (e1 [+] e2) [+] e3 = e1 [+] (e2 [+] gyr[e2, e1]e3);
-    # and |alpha| = |beta|, relative to |beta|; on every lane in both tiers
+    # |alpha| = |beta|, relative to |beta|; the left and right loop properties
+    # gyr[e1 [+] e2, e2] = gyr[e1, e2] = gyr[e1, e2 [+] e1]; gyration
+    # inversion gyr[e2, e1]gyr[e1, e2]e3 = e3; the gyroautomorphism
+    # gyr[e1, e2](e3 [+] e4) = gyr[e1, e2]e3 [+] gyr[e1, e2]e4; and the even
+    # property gyr[-e1, -e2] = gyr[e1, e2], bit for bit; on every lane in
+    # both tiers
+    def gyr(rot, z):
+        return rot.alpha.inverse() * z * rot.beta
+
     for tier in TIERS:
         for key in CONFIGS:
             gyration = cancellation = left = right = pair = 0.0
+            loop_left = loop_right = inversion = automorphism = 0.0
+            uneven = 0
             for i in range(200):
-                e1, e2, e3 = _tier_menhirs(i, key, tier, 3)
+                e1, e2, e3, e4 = _tier_menhirs(i, key, tier, 4)
                 rot, back = thomas_rotation(e1, e2), thomas_rotation(e2, e1)
                 e12 = compose_menhirs(e1, e2)
-                swapped = rot.alpha.inverse() * compose_menhirs(e2, e1) * rot.beta
-                gyration = max(gyration, max_diff(e12, swapped))
+                gyration = max(gyration, max_diff(e12, gyr(rot, compose_menhirs(e2, e1))))
                 cancellation = max(cancellation, max_diff(compose_menhirs(-e1, e12), e2))
-                left = max(left, max_diff(
-                    compose_menhirs(e1, compose_menhirs(e2, e3)),
-                    compose_menhirs(e12, rot.alpha.inverse() * e3 * rot.beta)))
-                right = max(right, max_diff(
-                    compose_menhirs(e12, e3),
-                    compose_menhirs(e1, compose_menhirs(e2, back.alpha.inverse() * e3 * back.beta))))
+                left = max(left, max_diff(compose_menhirs(e1, compose_menhirs(e2, e3)),
+                                          compose_menhirs(e12, gyr(rot, e3))))
+                right = max(right, max_diff(compose_menhirs(e12, e3),
+                                            compose_menhirs(e1, compose_menhirs(e2, gyr(back, e3)))))
                 beta = rot.beta.norm()
                 pair = max(pair, abs(rot.alpha.norm() - beta) / beta)
+                z = gyr(rot, e3)
+                loop_left = max(loop_left, max_diff(gyr(thomas_rotation(e12, e2), e3), z))
+                loop_right = max(loop_right, max_diff(
+                    gyr(thomas_rotation(e1, compose_menhirs(e2, e1)), e3), z))
+                inversion = max(inversion, max_diff(gyr(back, z), e3))
+                automorphism = max(automorphism, max_diff(
+                    gyr(rot, compose_menhirs(e3, e4)), compose_menhirs(z, gyr(rot, e4))))
+                uneven += gyr(thomas_rotation(-e1, -e2), e3).coeffs.tobytes() != z.coeffs.tobytes()
             print(f"{tier} {key}: gyrocommutativity {gyration:.3g},",
                   f"left cancellation {cancellation:.3g},",
                   f"left gyroassociativity {left:.3g}, right {right:.3g},",
-                  f"|alpha| - |beta| {pair:.3g} relative")
+                  f"|alpha| - |beta| {pair:.3g} relative,",
+                  f"left loop {loop_left:.3g}, right loop {loop_right:.3g},",
+                  f"gyration inversion {inversion:.3g}, gyroautomorphism {automorphism:.3g},",
+                  f"even property off in {uneven} of 200")
             assert gyration <= 1e-14 and cancellation <= 1e-12
             assert left <= 1e-13 and right <= 1e-13 and pair <= 1e-14
+            assert loop_left <= 1e-13 and loop_right <= 1e-13
+            assert inversion <= 1e-13 and automorphism <= 1e-13 and uneven == 0
 
 
 def test_boost_words_are_pseudo_unitary():

@@ -373,6 +373,29 @@ def test_parser_reuse_keeps_every_outcome(runner, monkeypatch):
             assert _outcome(runner, monkeypatch, argv, **extra)[:3] == clicks[:3], (extra, argv)
             assert _outcome(runner, monkeypatch, unknown) == expected
 
+    # a token normaliser keys the template too: two requests that bring the
+    # same one build each command's parser once, with click's outcomes
+    counts, build = collections.Counter(), click.Command.make_parser
+
+    def counting(self, ctx):
+        counts[self.name] += 1
+        return build(self, ctx)
+
+    upper = ["compose", "-A", "complex", "-V", "4/5", "-W", "3i/5"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._ParserOnceCommand, "make_parser", click.Command.make_parser)
+        patch.setattr(cli._ParserOnceCommand, "get_params", click.Command.get_params)
+        clicks = [_outcome(runner, monkeypatch, argv, token_normalize_func=str.upper)
+                  for argv in (_SHORT_SPELLING["compose"], upper)]
+    with monkeypatch.context() as patch:
+        patch.setattr(click.Command, "make_parser", counting)
+        normalised = [_outcome(runner, monkeypatch, argv, token_normalize_func=str.upper)
+                      for argv in (_SHORT_SPELLING["compose"], upper)]
+    assert counts == {"main": 1, "compose": 1}
+    assert [outcome[:3] for outcome in normalised] == [outcome[:3] for outcome in clicks]
+    assert normalised[0][:3] == first[0][:3] and normalised[1][3] == 0
+    assert _outcome(runner, monkeypatch, unknown) == expected
+
     # two requests, two parsers over the same option tables
     made, make_parser = [], cli._ParserOnceCommand.make_parser
 
