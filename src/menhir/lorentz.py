@@ -42,8 +42,10 @@ def _boost(v: np.ndarray) -> np.ndarray:
     """The boost by v in the dtype of v, as J + p p^T / p_0 with
     p = (1 + gamma, gamma v) and J = diag(-1, 1, ..., 1)."""
     g = 1 / np.sqrt(1 - v @ v)
-    p = np.concatenate(((1 + g,), g * v))
-    return _signature(p.size, v.dtype) + np.multiply.outer(p, p / p[0])
+    p = np.empty(v.size + 1, v.dtype)
+    p[0] = 1 + g
+    np.multiply(g, v, out=p[1:])
+    return _signature(p.size, v.dtype) + p[:, None] * (p / p[0])
 
 
 def boost_matrix(v) -> np.ndarray:
@@ -58,7 +60,7 @@ def _split(L: np.ndarray):
     u = L_0s / L_00 and R = L_ss - L_s0 L_0s / (1 + L_00).  R's subtraction
     cancels entries of size L_00, so its error is L_00 times L's rounding."""
     row, l00 = L[0, 1:], L[0, 0]
-    return L[1:, 1:] - np.multiply.outer(L[1:, 0], row / (1 + l00)), row / l00
+    return L[1:, 1:] - L[1:, :1] * (row / (1 + l00)), row / l00
 
 
 def polar_decompose(L):

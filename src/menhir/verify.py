@@ -6,17 +6,25 @@ rotation.  Trial i of a run with master seed s draws from
 `np.random.default_rng([s, i])`, so a run is deterministic regardless of
 execution order or parallelism, different master seeds give independent
 samples, and the key (s, i) replays any one trial alone.
+
+A draw reads only the key, the tier and the dimension, so the lanes of one
+dimension (complex and clifford2, imquaternion and clifford3, quaternion and
+clifford4) draw the same pairs: the first of them in `CONFIGS` keeps each
+trial's oracle split and the second takes it.  A lane run alone splits every
+pair itself, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import Algebra, COMPLEX, QUATERNION, REAL, clifford, vector_embed
 from .calculus import MoebiusMatrix, compose_velocities, menhir_of, moebius_apply
+from . import lorentz
 from .lorentz import aberrate_ray, boost_matrix, composition_split
 from .reversions import boost_star_shift
 
@@ -42,6 +50,29 @@ CONFIGS: dict[str, tuple[Algebra, int]] = {
     "clifford4": (clifford(4), 4),
     "clifford5": (clifford(5), 5),
 }
+
+#: oracle splits that a dimension's store holds at most, oldest dropped
+#: first; the CLI's default 1000 trials fit
+_STORE_SIZE = 1024
+
+
+def _split_stores() -> dict[str, tuple[OrderedDict, bool]]:
+    """lane -> (its dimension's store, whether the lane keeps splits there),
+    for each dimension that more than one lane draws in; the first such lane
+    in `CONFIGS` order keeps, the others take."""
+    lanes: dict[int, list[str]] = {}
+    for key, (_, n) in CONFIGS.items():
+        lanes.setdefault(n, []).append(key)
+    stores = {}
+    for producer, *consumers in lanes.values():
+        if consumers:
+            store = OrderedDict()
+            stores[producer] = (store, True)
+            stores.update((key, (store, False)) for key in consumers)
+    return stores
+
+
+_SPLITS = _split_stores()
 
 #: speed ranges and tolerances per tier; conditioning degrades near the cone
 TIERS = {
@@ -76,19 +107,41 @@ def composition_trial(rng: np.random.Generator, key: str, tier: str = "normal"):
 
     u, thomas = compose_velocities(vector_embed(v, algebra), vector_embed(w, algebra))
     u_menhir, residue = algebra.model_split(u.coeffs, n)
-    rotation, u_oracle = composition_split(v, w)
+    rotation, u_oracle = _oracle_split(key, v, w)
     diff = float(np.abs(u_menhir - u_oracle).max())
     v_err = max(diff, residue) if residue == residue else residue  # a NaN residue stays
     r_err = float(np.abs(thomas.matrix(n) - rotation).max())
     return v_err, r_err, v, w
 
 
+def _oracle_split(key: str, v: np.ndarray, w: np.ndarray):
+    """composition_split(v, w), split once for the lanes of one dimension:
+    the lane that keeps stores it under the exact bytes of (v, w) and the
+    split's dtype, and a lane that takes pops it from there, or splits the
+    pair itself where it is not held."""
+    shared = _SPLITS.get(key)
+    if shared is None:
+        return composition_split(v, w)
+    store, keeps = shared
+    pair = (v.tobytes(), w.tobytes(), lorentz.SPLIT_DTYPE)
+    if not keeps:
+        split = store.pop(pair, None)
+        return composition_split(v, w) if split is None else split
+    split = store[pair] = composition_split(v, w)
+    if len(store) > _STORE_SIZE:
+        store.popitem(last=False)
+    return split
+
+
 def aberration_spread(v: np.ndarray, stars: np.ndarray, algebra: Algebra) -> float:
     """Three-way star-shift comparison over a batch of stars (rows) boosted by v:
     the largest gap between the reversion word, the Moebius map in `algebra`
     and the null-ray oracle, or the Moebius images' largest coefficient off
-    the model if that is larger; NaN if any of them is NaN."""
+    the model if that is larger; NaN if any of them is NaN; 0.0, the spread
+    over no stars, for an empty batch."""
     by_word = boost_star_shift(stars, v)
+    if not len(by_word):
+        return 0.0
     matrix = MoebiusMatrix.boost(menhir_of(vector_embed(v, algebra)))
     images = np.array([moebius_apply(matrix, vector_embed(a, algebra)).coeffs for a in stars])
     by_moebius, residue = algebra.model_split(images, v.size)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from menhir import calculus, lorentz, verify
-from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, vector_embed, vector_part
+from menhir.algebra import COMPLEX, RESIDUE_BOUND, Algebra, algebra_for_dimension, vector_embed, vector_part
 from menhir.calculus import compose_menhirs, menhir_of, thomas_rotation, velocity_of
 from util import (
     exact_polar_split,
@@ -101,6 +101,12 @@ def test_nan_residue_is_kept(monkeypatch):
     assert math.isnan(verify.aberration_spread(np.array([0.6, 0.0]), stars, COMPLEX))
 
 
+def test_aberration_spread_of_no_stars_is_zero():
+    for v in (np.array([0.6, 0.0]), np.array([0.3, -0.2, 0.5])):
+        stars = np.empty((0, v.size))
+        assert verify.aberration_spread(v, stars, algebra_for_dimension(v.size)) == 0.0
+
+
 def test_tolerance_must_be_finite_and_non_negative():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError):
@@ -158,3 +164,111 @@ def test_stress_failure_of_key_1765266107_40_is_the_oracles():
         rotation, _ = reference_polar_decompose(L)
         oracle_err = np.abs(rotation[1:, 1:] - r_exact).max()
         assert abs(oracle_err - 1.8e-6) <= 1e-7
+
+
+# -- one oracle split per velocity pair --------------------------------------------
+
+_SHARING_TRIALS = 200
+
+
+def _empty_stores():
+    for store, _ in verify._SPLITS.values():
+        store.clear()
+
+
+def _trial_bytes(v_err, r_err, v, w):
+    return np.float64(v_err).tobytes(), np.float64(r_err).tobytes(), v.tobytes(), w.tobytes()
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Every store emptied, before and after; the list that each
+    `composition_split` call in `verify` appends its lane's dimension to."""
+    calls, split = [], verify.composition_split
+
+    def counting(v, w):
+        calls.append(np.size(v))
+        return split(v, w)
+
+    monkeypatch.setattr(verify, "composition_split", counting)
+    _empty_stores()
+    yield calls
+    _empty_stores()
+
+
+def _producers_and_consumers():
+    lanes = {}
+    for key, (_, n) in verify.CONFIGS.items():
+        lanes.setdefault(n, []).append(key)
+    return {n: keys for n, keys in lanes.items() if len(keys) > 1}
+
+
+def test_lanes_of_one_dimension_split_each_pair_once(monkeypatch, split_calls):
+    """Run in `CONFIGS` order, the eight lanes split 5T pairs, not 8T: each
+    consumer takes its producer's splits.  Each lane's report equals the lane
+    run alone on an empty store, and every consumer trial replayed alone
+    gives the shared run's four values bit for bit."""
+    T = _SHARING_TRIALS
+    shared = _producers_and_consumers()
+    assert sorted(shared) == [2, 3, 4]
+    consumers = [key for _, *rest in shared.values() for key in rest]
+    values = {}
+
+    def recording(rng, key, tier="normal"):
+        result = _TRIAL(rng, key, tier)
+        values.setdefault(key, []).append(_trial_bytes(*result))
+        return result
+
+    monkeypatch.setattr(verify, "composition_trial", recording)
+    for seed in (42, 2102):
+        for tier in verify.TIERS:
+            split_calls.clear()
+            values.clear()
+            reports = {key: verify.run_equivalence(key, T, seed, tier) for key in verify.CONFIGS}
+            assert len(split_calls) == 5 * T, (seed, tier)
+            assert sorted(set(split_calls)) == [1, 2, 3, 4, 5]
+            shared_values = dict(values)
+            for key in verify.CONFIGS:
+                _empty_stores()
+                values.clear()
+                assert verify.run_equivalence(key, T, seed, tier) == reports[key], (seed, tier, key)
+                assert values[key] == shared_values[key], (seed, tier, key)
+            for key in consumers:
+                for index in range(T):
+                    replayed = _TRIAL(np.random.default_rng([seed, index]), key, tier)
+                    assert _trial_bytes(*replayed) == shared_values[key][index], (seed, tier, key, index)
+
+
+def test_split_stores_are_bounded(split_calls):
+    """A producer run alone past the bound keeps at most `_STORE_SIZE`
+    splits; its consumer takes what is held, splits the rest itself and
+    inserts none.  The lanes of dimensions 1 and 5 have no store."""
+    assert verify._STORE_SIZE == 1024
+    assert {key for key, (_, n) in verify.CONFIGS.items() if n in (1, 5)} == {"real", "clifford5"}
+    assert "real" not in verify._SPLITS and "clifford5" not in verify._SPLITS
+    T = 3000
+    for producer, consumer in _producers_and_consumers().values():
+        store, keeps = verify._SPLITS[producer]
+        assert keeps and verify._SPLITS[consumer] == (store, False)
+        verify.run_equivalence(producer, T, 7, "normal")
+        assert len(store) == verify._STORE_SIZE
+        split_calls.clear()
+        verify.run_equivalence(consumer, T, 7, "normal")
+        assert len(split_calls) == T - verify._STORE_SIZE and not store
+    for key in ("real", "clifford5"):
+        verify.run_equivalence(key, 10, 7, "normal")
+    assert not any(store for store, _ in verify._SPLITS.values())
+
+
+def test_a_split_of_another_dtype_is_not_taken(monkeypatch, split_calls):
+    """A store is keyed on `lorentz.SPLIT_DTYPE` too: with it set to float64
+    after the producer ran, the consumer splits every pair itself."""
+    T = _SHARING_TRIALS
+    for producer, consumer in _producers_and_consumers().values():
+        verify.run_equivalence(producer, T, 42, "stress")
+        with monkeypatch.context() as patch:
+            patch.setattr(lorentz, "SPLIT_DTYPE", np.float64)
+            split_calls.clear()
+            verify.run_equivalence(consumer, T, 42, "stress")
+        assert len(split_calls) == T, (producer, consumer)
+        assert len(verify._SPLITS[producer][0]) == T
