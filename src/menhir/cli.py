@@ -33,7 +33,8 @@ from .calculus import (
     refine_gap_argmax,
     velocity_of,
 )
-from .parsing import ElementParseError, format_element, parse_algebra_tag, parse_bracket, parse_element
+from .parsing import (ALGEBRA_TAGS, ElementParseError, format_element, parse_algebra_tag, parse_bracket,
+                      parse_element)
 from .reversions import (
     ConstructionError,
     ConstructionTrace,
@@ -91,11 +92,15 @@ def _exit_codes(fn):
     return wrapper
 
 
+def _quoted(value) -> str:
+    """A value as help quotes it: a threshold as 1e-9 (repr: 1e-09), a string as it is."""
+    return value if isinstance(value, str) else repr(value).replace("e-0", "e-")
+
+
 def _quoting(**values):
-    """Fill a command help's {name} fields with thresholds, written as 1e-9 (repr: 1e-09)."""
+    """Fill a command help's {name} fields with the `_quoted` values."""
     def fill(fn):
-        fn.__doc__ = fn.__doc__.format(**{k: repr(v).replace("e-0", "e-")
-                                          for k, v in values.items()})
+        fn.__doc__ = fn.__doc__.format(**{k: _quoted(v) for k, v in values.items()})
         return fn
     return fill
 
@@ -148,12 +153,13 @@ class _ParserOnceGroup(_ParserOnceCommand, click.Group):
 
 
 @click.group(cls=_ParserOnceGroup)
+@_quoting(tags=", ".join(ALGEBRA_TAGS))
 def main():
     """Relativistic velocity composition through menhirs.
 
     Element grammar: rationals ("4/5"), decimals, and unit symbols i, j, k
     ("3i/5", "1/2+i/3"); Clifford vectors as bracketed component lists
-    ("[0.1,0.2,0.3]").  Algebra tags: real, complex, quaternion, clifford<N>.
+    ("[0.1,0.2,0.3]").  Algebra tags: {tags}.
     """
 
 
@@ -201,7 +207,7 @@ def _rotation_payload(descriptor):
 
 @main.command()
 @click.option("-a", "--algebra", "tag", default="complex", show_default=True,
-              help="Algebra tag: real, complex, quaternion, clifford<N>.")
+              help=f"Algebra tag: {', '.join(ALGEBRA_TAGS)}.")
 @click.option("-v", "--velocity", "v_text", required=True, help="First boost velocity.")
 @click.option("-w", "--second", "w_text", required=True, help="Second boost velocity.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json",
@@ -488,42 +494,37 @@ def starfield(v_text, w_text, count, fmt, out_path):
               help="Master seed; trial i draws from default_rng([seed, i]).")
 @click.option("-a", "--algebra", "key", default="all", show_default=True,
               type=click.Choice(["all", *CONFIGS]), help="Verification lane.")
-@click.option("--tier", type=click.Choice(["normal", "stress"]), default="normal", show_default=True)
+@click.option("--tier", type=click.Choice(list(TIERS)), default="normal", show_default=True)
 @_exit_codes
-@_quoting(normal=TIERS["normal"][2], stress=TIERS["stress"][2])
+@_quoting(tolerances=", ".join(f"{_quoted(tol)} ({tier})" for tier, (*_, tol) in TIERS.items()))
 def verify(trials, seed, key, tier):
     """Check the menhir calculus against the Lorentz-matrix oracle.
 
-    Tolerance: {normal} (normal), {stress} (stress); the MENHIR_TOLERANCE
-    environment variable overrides it with a finite number >= 0.  A trial fails unless
-    both of its errors are within the tolerance.  Exit code 1 when any trial
-    fails.
+    Tolerance: {tolerances}; the MENHIR_TOLERANCE environment variable overrides
+    it with a finite number >= 0.  A trial fails unless both of its errors are
+    within the tolerance.  Exit code 1 when any trial fails.
     """
-    tolerance = None
     env = os.environ.get("MENHIR_TOLERANCE")
-    if env:
-        try:
-            tolerance = trial_tolerance(tier, float(env))
-        except ValueError:
-            raise click.UsageError(f"MENHIR_TOLERANCE={env!r} is not a finite number >= 0") from None
+    try:
+        tolerance = trial_tolerance(tier, float(env)) if env else None
+    except ValueError:
+        raise click.UsageError(f"MENHIR_TOLERANCE={env!r} is not a finite number >= 0") from None
     bits = int(np.finfo(lorentz.SPLIT_DTYPE).nmant)
     if bits < lorentz.EXTENDED_MANTISSA_BITS:
         click.echo(f"note: no extended long double here; the oracle splits with {bits} "
                    f"mantissa bits, not {lorentz.EXTENDED_MANTISSA_BITS}", err=True)
 
-    keys = list(CONFIGS) if key == "all" else [key]
     any_failures = False
-    for k in keys:
+    for k in CONFIGS if key == "all" else [key]:
         report = run_equivalence(k, trials, seed, tier, tolerance)
-        status = "ok" if report.ok else "FAIL"
-        click.echo(
-            f"{k:<13} trials={report.trials} tier={tier} "
-            f"max_velocity_error={report.max_velocity_error:.3e} "
-            f"max_rotation_error={report.max_rotation_error:.3e} "
-            f"failures={len(report.failures)} {status}"
-        )
+        click.echo(f"{k:<13} trials={report.trials} tier={tier} "
+                   f"max_velocity_error={report.max_velocity_error:.3e} "
+                   f"max_rotation_error={report.max_rotation_error:.3e} "
+                   f"failures={len(report.failures)} {'ok' if report.ok else 'FAIL'}")
         for (master, index), inputs, errors in report.failures[:10]:
             click.echo(f"  failing seed {master} trial {index}: {inputs} -> {errors}", err=True)
+        if report.failures[10:]:
+            click.echo(f"  failing trials not listed: {len(report.failures) - 10}", err=True)
         any_failures = any_failures or not report.ok
     if any_failures:
         sys.exit(1)

@@ -41,6 +41,7 @@ from .algebra import (
 )
 
 __all__ = [
+    "ALGEBRA_TAGS",
     "ElementParseError",
     "format_element",
     "format_number",
@@ -69,22 +70,21 @@ _SPLIT = re.compile(r"(?<![eE])(?=[+-])")
 
 _UNIT_SLOT = {"": 0, "i": 1, "j": 2, "k": 3}
 
+#: the algebra of each named tag, and every tag in the order help and errors list them
+_NAMED_ALGEBRAS = {"real": REAL, "complex": COMPLEX, "quaternion": QUATERNION}
+ALGEBRA_TAGS = (*_NAMED_ALGEBRAS, "clifford<N>")
+
 
 def parse_algebra_tag(tag: str) -> Algebra:
-    """Algebra named on the command line: real, complex, quaternion, clifford<N>."""
+    """Algebra named on the command line by one of `ALGEBRA_TAGS`, in any case."""
     tag = tag.strip().lower()
-    if tag == "real":
-        return REAL
-    if tag == "complex":
-        return COMPLEX
-    if tag == "quaternion":
-        return QUATERNION
+    if tag in _NAMED_ALGEBRAS:
+        return _NAMED_ALGEBRAS[tag]
     m = re.fullmatch(r"clifford([0-9]+)", tag)
     if m:
         return clifford(int(m.group(1)))
-    raise ElementParseError(
-        f"unknown algebra tag {tag!r}; use real, complex, quaternion or clifford<N>"
-    )
+    raise ElementParseError(f"unknown algebra tag {tag!r}; use "
+                            f"{', '.join(ALGEBRA_TAGS[:-1])} or {ALGEBRA_TAGS[-1]}")
 
 
 def parse_number(text: str) -> float:
@@ -103,10 +103,9 @@ def parse_number(text: str) -> float:
 
 
 def _parse_term(term: str) -> tuple[float, str]:
-    sign = 1.0
-    while term and term[0] in "+-":
-        if term[0] == "-":
-            sign = -sign
+    # `_SPLIT` cuts before each sign, so a term has at most one sign, at its start
+    sign = -1.0 if term[0] == "-" else 1.0
+    if term[0] in "+-":
         term = term[1:]
     m = _TERM.match(term)
     if not m or (m.group("num") is None and m.group("unit") is None):

@@ -27,7 +27,7 @@ from menhir.lorentz import axis_projection_shift, composition_split
 from menhir.parsing import ElementParseError, parse_algebra_tag, parse_element
 from menhir.reversions import DegenerateConstructionWarning, apply_word, boost_star_shift, two_boost_word
 from menhir.svgplot import render_starfield
-from menhir.verify import TIERS
+from menhir.verify import TIERS, run_equivalence
 
 from util import (ball_vector, max_diff, needs_extended_split, reference_format_element,
                   reference_mul_coeffs, reference_read_catalog, reference_shift_table, unit_vector)
@@ -280,6 +280,113 @@ def test_compose_cases_take_both_json_writers(runner):
         payload = json.loads(runner.invoke(main, ["compose", "-a", tag, "-v", v_text, "-w", w_text]).stdout)
         in_band.add(bool(_orjson_as_repr(payload["speed"]) and _orjson_as_repr(payload["angle_rad"])))
     assert in_band == {True, False}
+
+
+#: argv -> (exit code, stdout, stderr) as first written, under click 8.4 at 80
+#: columns: the help texts that name algebra tags and tiers, and the
+#: unknown-tag error, each built from its table (`ALGEBRA_TAGS`, `TIERS`)
+_GOLDEN = {
+    ('--help',): (0,
+     'Usage: menhir [OPTIONS] COMMAND [ARGS]...\n'
+     '\n'
+     '  Relativistic velocity composition through menhirs.\n'
+     '\n'
+     '  Element grammar: rationals ("4/5"), decimals, and unit symbols i, j, k\n'
+     '  ("3i/5", "1/2+i/3"); Clifford vectors as bracketed component lists\n'
+     '  ("[0.1,0.2,0.3]").  Algebra tags: real, complex, quaternion, clifford<N>.\n'
+     '\n'
+     'Options:\n'
+     '  --help  Show this message and exit.\n'
+     '\n'
+     'Commands:\n'
+     '  aberrate    Shift a star catalog under a boost.\n'
+     '  compose     Compose two boost velocities (first -v, then -w).\n'
+     '  goldenscan  Scan the discrepancy between a speed and its menhir.\n'
+     '  starfield   Render the star shift on the cromlech (SVG for the planar case).\n'
+     '  verify      Check the menhir calculus against the Lorentz-matrix oracle.\n',
+     ''),
+    ('compose', '--help'): (0,
+     'Usage: menhir compose [OPTIONS]\n'
+     '\n'
+     '  Compose two boost velocities (first -v, then -w).\n'
+     '\n'
+     '  JSON schema v1 keys: menhir_v, menhir_w, composite_menhir, composite_velocity,\n'
+     '  speed, rotation, angle_rad.\n'
+     '\n'
+     '  When the Thomas pair is a rotor pair (Clifford vectors, imaginary\n'
+     '  quaternions), the composite menhir prints on the velocity model: its rounding\n'
+     '  residue off the model (at most 1e-12 / |alpha|, alpha as under `rotation`,\n'
+     '  else exit 1) is dropped, every model slot keeps its bits, and the composite\n'
+     '  velocity taken from it reads back as a velocity.  `speed` is the norm of the\n'
+     '  printed velocity.\n'
+     '\n'
+     'Options:\n'
+     '  -a, --algebra TEXT    Algebra tag: real, complex, quaternion, clifford<N>.\n'
+     '                        [default: complex]\n'
+     '  -v, --velocity TEXT   First boost velocity.  [required]\n'
+     '  -w, --second TEXT     Second boost velocity.  [required]\n'
+     '  --format [json|text]  [default: json]\n'
+     '  --help                Show this message and exit.\n',
+     ''),
+    ('verify', '--help'): (0,
+     'Usage: menhir verify [OPTIONS]\n'
+     '\n'
+     '  Check the menhir calculus against the Lorentz-matrix oracle.\n'
+     '\n'
+     '  Tolerance: 1e-9 (normal), 1e-6 (stress); the MENHIR_TOLERANCE environment\n'
+     '  variable overrides it with a finite number >= 0.  A trial fails unless both of\n'
+     '  its errors are within the tolerance.  Exit code 1 when any trial fails.\n'
+     '\n'
+     'Options:\n'
+     '  --trials INTEGER RANGE          Trials per configuration.  [default: 1000;\n'
+     '                                  x>=1]\n'
+     '  --seed INTEGER RANGE            Master seed; trial i draws from\n'
+     '                                  default_rng([seed, i]).  [default: 42; x>=0]\n'
+     '  -a, --algebra [all|real|complex|imquaternion|quaternion|clifford2|clifford3|clifford4|clifford5]\n'
+     '                                  Verification lane.  [default: all]\n'
+     '  --tier [normal|stress]          [default: normal]\n'
+     '  --help                          Show this message and exit.\n',
+     ''),
+    ('compose', '-a', 'Octonion', '-v', '0.1', '-w', '0.2'): (2,
+     '',
+     "error: unknown algebra tag 'octonion'; use real, complex, quaternion or clifford<N>\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_GOLDEN), ids=[" ".join(argv) for argv in _GOLDEN])
+def test_help_and_tag_error_keep_their_bytes(runner, argv):
+    result = runner.invoke(main, list(argv), prog_name="menhir", terminal_width=80)
+    assert (result.exit_code, result.stdout, result.stderr) == _GOLDEN[argv]
+
+
+def test_tier_choices_are_the_tiers():
+    tier = next(param for param in main.commands["verify"].params if param.name == "tier")
+    assert list(tier.type.choices) == list(TIERS)
+
+
+def test_a_tier_added_to_TIERS_is_a_cli_choice():
+    """A tier added to `verify.TIERS` before the CLI is imported is a `--tier`
+    choice, its tolerance is quoted in the help, and a run of it goes through."""
+    code = """if True:
+        import json
+        from click.testing import CliRunner
+        from menhir import verify
+        verify.TIERS["slow"] = (0.1, 0.2, 1e-10)
+        from menhir.cli import main
+        runs = [CliRunner().invoke(main, argv, terminal_width=80)
+                for argv in (["verify", "--help"], ["verify", "--tier", "slow", "--trials", "3", "-a", "real"])]
+        print(json.dumps([(run.exit_code, run.stdout) for run in runs]))
+    """
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    (help_code, help_text), (run_code, run_text) = json.loads(done.stdout)
+    help_text = " ".join(help_text.split())
+    assert help_code == 0 and run_code == 0
+    assert "Tolerance: 1e-9 (normal), 1e-6 (stress), 1e-10 (slow);" in help_text
+    assert "--tier [normal|stress|slow]" in help_text
+    assert run_text.startswith("real          trials=3 tier=slow ") and run_text.endswith(" failures=0 ok\n")
 
 
 _COMPOSE_EXAMPLE = ["-v", "4/5", "-w", "3i/5"]
@@ -1092,6 +1199,28 @@ def test_verify_names_a_double_precision_oracle(runner, monkeypatch):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert result.stderr == "note: no extended long double here; the oracle splits with 52 mantissa bits, not 63\n"
+
+
+@pytest.mark.parametrize("trials", [10, 11, 25])
+def test_verify_counts_the_failing_trials_it_does_not_list(runner, trials):
+    """`verify` lists a lane's first 10 failing trials on stderr, then says
+    how many more failed, if any; stdout keeps its one line a lane."""
+    result = runner.invoke(main, ["verify", "--trials", str(trials), "-a", "complex"],
+                           env={"MENHIR_TOLERANCE": "0"})
+    report = run_equivalence("complex", trials, 42, "normal", 0.0)
+    assert result.exit_code == 1 and report.failures
+    assert result.stdout == (f"complex       trials={trials} tier=normal "
+                             f"max_velocity_error={report.max_velocity_error:.3e} "
+                             f"max_rotation_error={report.max_rotation_error:.3e} "
+                             f"failures={len(report.failures)} FAIL\n")
+    listed = [f"  failing seed 42 trial {index}: {inputs} -> {errors}"
+              for (_, index), inputs, errors in report.failures[:10]]
+    unlisted = [f"  failing trials not listed: {len(report.failures) - 10}"] if len(report.failures) > 10 else []
+    # a platform with no extended long double adds its note first
+    lines = [line for line in result.stderr.splitlines() if not line.startswith("note: ")]
+    assert lines == listed + unlisted
+    if trials == 25:
+        assert unlisted
 
 
 def test_verify_rejects_zero_trials(runner):

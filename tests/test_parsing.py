@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menhir import parsing
@@ -18,7 +18,8 @@ from menhir.parsing import (
     parse_element,
     parse_number,
 )
-from util import max_diff, random_menhir, reference_format_element, reference_format_number
+from util import (max_diff, random_menhir, reference_format_element, reference_format_number,
+                  reference_parse_algebra_tag, reference_parse_term)
 
 
 def test_parse_numbers():
@@ -61,6 +62,64 @@ def test_parse_algebra_tags():
     assert parse_algebra_tag("clifford4") is clifford(4)
     with pytest.raises(ElementParseError):
         parse_algebra_tag("octonion")
+
+
+def _outcome(f, text):
+    """What f returns for text, or the type and message of the error it raises."""
+    try:
+        return f(text)
+    except ValueError as exc:  # ElementParseError, and UnsupportedDimensionError from clifford(n)
+        return type(exc), str(exc)
+
+
+#: tags the first `parse_algebra_tag` took, a few near misses, and the characters they are made of
+_TAG_BASES = ("real", "complex", "quaternion", "clifford1", "clifford2", "clifford3", "clifford4",
+              "clifford5", "clifford04", "clifford0", "clifford6", "clifford", "clifford 4",
+              "octonion", "complexe", "=complex", "clifford-2", "clifford<N>", "")
+_TAG_CHARACTERS = sorted(set("".join(_TAG_BASES)) | set(" \t\nRQC9\u0663"))
+
+
+@st.composite
+def _tag_spellings(draw):
+    """A base tag in mixed case, with whitespace around it and, now and then,
+    one character put in, taken out or changed."""
+    text = "".join(c.upper() if draw(st.booleans()) else c for c in draw(st.sampled_from(_TAG_BASES)))
+    if text and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(text) - 1))
+        text = text[:k] + draw(st.sampled_from(["", *_TAG_CHARACTERS])) + text[k + 1:]
+    space = st.text(" \t\n", max_size=2)
+    return draw(space) + text + draw(space)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_tag_spellings())
+@example("Quaternion")
+@example(" CLIFFORD3\t")
+@example("clifford\u0663")
+def test_algebra_tags_parse_as_first_written(text):
+    """The table of named tags takes every spelling the if-chain it replaced
+    took, case and surrounding space aside, to the same algebra object, and
+    any other text to the same error."""
+    got, want = _outcome(parse_algebra_tag, text), _outcome(reference_parse_algebra_tag, text)
+    assert got is want if not isinstance(want, tuple) else got == want
+
+
+#: the characters of element text, each sign and exponent letter among them
+_ELEMENT_CHARACTERS = "+-eE0123456789./ijk "
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(_ELEMENT_CHARACTERS, max_size=16))
+@example("+-3")
+@example("1e+-5i")
+@example("--+2j")
+def test_a_split_term_holds_at_most_one_sign(text):
+    """`_SPLIT` cuts before every sign that does not follow an exponent
+    letter, so each term it yields has at most one leading sign, and reading
+    that one sign gives what the loop over any number of signs gave."""
+    for term in filter(None, parsing._SPLIT.split("".join(text.split()))):
+        assert len(term) - len(term.lstrip("+-")) <= 1, term
+        assert _outcome(parsing._parse_term, term) == _outcome(reference_parse_term, term)
 
 
 @pytest.mark.parametrize(

@@ -50,16 +50,46 @@ def test_a_trial_checks_each_input_once(monkeypatch):
 
 
 def test_sample_velocity_draws_as_uniform():
-    """`sample_velocity` scales by rng.uniform(lo, hi) written out: the same
-    bits over many trial keys, and the generator left in the same state."""
-    for seed in range(40):
-        for index in range(25):
-            n = 1 + (seed + index) % 5
+    """The sampling helpers are their plain forms written out, bit for bit,
+    over 2000 trial keys for each n = 1..5 and tier: `sample_direction` is
+    d / np.linalg.norm(d), and `sample_velocity` that direction times
+    rng.uniform(lo, hi), each from a generator seeded alike and left in the
+    same state."""
+    for index in range(2000):
+        for n in range(1, 6):
             for lo, hi, _ in verify.TIERS.values():
-                ours, numpy_ = (np.random.default_rng([seed, index]) for _ in range(2))
-                expected = verify.sample_direction(numpy_, n) * numpy_.uniform(lo, hi)
-                assert verify.sample_velocity(ours, n, lo, hi).tobytes() == expected.tobytes()
-                assert ours.random() == numpy_.random()
+                ours, plain = (np.random.default_rng([3401, index]) for _ in range(2))
+                d = plain.standard_normal(n)
+                direction = d / np.linalg.norm(d)
+                velocity = direction * plain.uniform(lo, hi)
+                assert verify.sample_velocity(ours, n, lo, hi).tobytes() == velocity.tobytes()
+                assert ours.random() == plain.random()
+                ours = np.random.default_rng([3401, index])
+                assert verify.sample_direction(ours, n).tobytes() == direction.tobytes()
+
+
+class _StubGenerator:
+    """Hands out the given standard normal draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+
+    def standard_normal(self, n):
+        d = self.draws.pop(0)
+        assert d.size == n
+        return d
+
+
+@pytest.mark.parametrize("short", [[0.0], [verify._MIN_DIRECTION_NORM], [0.0, -verify._MIN_DIRECTION_NORM],
+                                   [6e-7, 8e-7], [0.0, 0.0, 0.0]])
+def test_a_short_draw_is_drawn_again(short):
+    """A first draw with a norm of at most `_MIN_DIRECTION_NORM` is drawn
+    again, and the next one is normalised."""
+    n = len(short)
+    again = np.arange(1.0, n + 1.0)
+    rng = _StubGenerator(short, again)
+    assert verify.sample_direction(rng, n).tobytes() == (again / np.linalg.norm(again)).tobytes()
+    assert not rng.draws
 
 
 def test_master_seeds_draw_independent_trials(monkeypatch):

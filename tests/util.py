@@ -35,16 +35,17 @@ import importlib
 import io
 import math
 import os
+import re
 import tokenize
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from menhir.algebra import vector_embed
+from menhir.algebra import COMPLEX, QUATERNION, REAL, clifford, vector_embed
 from menhir.calculus import MoebiusMatrix, menhir_of
 from menhir.lorentz import EXTENDED_MANTISSA_BITS
-from menhir.parsing import ElementParseError
+from menhir.parsing import _TERM, ElementParseError, parse_number
 from menhir.verify import CONFIGS, TIERS, aberration_spread, sample_direction, sample_velocity
 
 
@@ -306,6 +307,42 @@ def reference_format_element(x) -> str:
         sign = "-" if value < 0 else ("+" if parts else "")
         parts.append(sign + body + unit)
     return "".join(parts) if parts else "0"
+
+
+def reference_parse_algebra_tag(tag: str):
+    """`parse_algebra_tag` as first written: one comparison per named tag."""
+    tag = tag.strip().lower()
+    if tag == "real":
+        return REAL
+    if tag == "complex":
+        return COMPLEX
+    if tag == "quaternion":
+        return QUATERNION
+    m = re.fullmatch(r"clifford([0-9]+)", tag)
+    if m:
+        return clifford(int(m.group(1)))
+    raise ElementParseError(
+        f"unknown algebra tag {tag!r}; use real, complex, quaternion or clifford<N>"
+    )
+
+
+def reference_parse_term(term: str) -> tuple[float, str]:
+    """`parsing._parse_term` as first written: a loop over any number of
+    leading signs."""
+    sign = 1.0
+    while term and term[0] in "+-":
+        if term[0] == "-":
+            sign = -sign
+        term = term[1:]
+    m = _TERM.match(term)
+    if not m or (m.group("num") is None and m.group("unit") is None):
+        raise ElementParseError(f"bad term {term!r}")
+    if m.group("den_pre") and m.group("den_post"):
+        raise ElementParseError(f"bad term {term!r}: two denominators")
+    num = m.group("num") or "1"
+    den = m.group("den_pre") or m.group("den_post")
+    value = parse_number(f"{num}/{den}" if den else num)
+    return sign * value, m.group("unit") or ""
 
 
 def reference_composition(e1, e2):
