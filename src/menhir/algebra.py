@@ -296,12 +296,6 @@ class Element:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            # `+ 0.0` turns a -0.0 slot into +0.0, as adding a whole scalar
-            # element did, so sums stay bitwise what they were
-            coeffs = self.coeffs + 0.0
-            coeffs[0] = self.coeffs[0] + float(other)
-            return Element(self.algebra, coeffs)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -183,12 +183,11 @@ class RotationDescriptor:
     element as both, and that is what marks a rotor pair: `beta is alpha`.
     """
 
-    __slots__ = ("alpha", "beta", "_rho")
+    __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: Element, beta: Element):
         self.alpha = alpha
         self.beta = beta
-        self._rho = None
 
     @property
     def algebra(self):
@@ -200,10 +199,8 @@ class RotationDescriptor:
         return _rotor(self.alpha) if self.beta is self.alpha else None
 
     def rho(self) -> Element:
-        """alpha / beta, computed once: the unit rotation number over the reals and complexes."""
-        if self._rho is None:
-            self._rho = self.alpha / self.beta
-        return self._rho
+        """alpha / beta: the unit rotation number over the reals and complexes."""
+        return self.alpha / self.beta
 
     def matrix(self, model_dim: int) -> np.ndarray:
         """Matrix of the sandwich action on the model vector space, in closed

@@ -184,13 +184,12 @@ def _on_model(composite: Element, alpha: Element) -> Element:
     """The composite menhir on the algebra's default vector model, its model
     slots bit for bit.  The part it leaves out is rounding residue, which
     grows like 1/|alpha|, alpha = 1 + e2 conj(e1): residue * |alpha| above
-    RESIDUE_BOUND, or NaN, raises OffModelError, |alpha| computed only for a
-    residue above it or NaN.  Its velocity, a positive multiple of it, is on
-    the model too."""
+    RESIDUE_BOUND, or NaN, raises OffModelError.  Its velocity, a positive
+    multiple of it, is on the model too."""
     algebra = composite.algebra
     n = algebra.default_model_dim()
     vector, residue = algebra.model_split(composite.coeffs, n)
-    if not residue <= RESIDUE_BOUND and not residue * alpha.norm() <= RESIDUE_BOUND:
+    if not residue * alpha.norm() <= RESIDUE_BOUND:
         raise OffModelError(f"composite menhir is off the {n}-vector model by more "
                             f"than the rounding bound {RESIDUE_BOUND!r} / |alpha|")
     return vector_embed(vector, algebra)

@@ -11,7 +11,8 @@ A draw reads only the key, the tier and the dimension, so the lanes of one
 dimension (complex and clifford2, imquaternion and clifford3, quaternion and
 clifford4) draw the same pairs: the first of them in `CONFIGS` keeps each
 trial's oracle split and the second takes it.  A lane run alone splits every
-pair itself, with the same bits.
+pair itself, with the same bits; a keeping lane run alone leaves up to 1024
+splits a dimension, held until the process ends or the other lane takes them.
 """
 
 from __future__ import annotations

@@ -532,3 +532,42 @@ def test_ring_operations_mixing_scalars_hypothesis(data):
         assert np.array_equal(result.coeffs, expected)
     with pytest.raises(TypeError):  # a number is no dividend: write q.inverse() * c
         c / q
+
+
+# every algebra the package builds, up to clifford(10)
+_SUPPORTED = [REAL, COMPLEX, QUATERNION] + [clifford(n) for n in range(1, 11)]
+_SLOT_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), _COEFF)
+
+
+@st.composite
+def _operand(draw, algebra):
+    """An element of `algebra` with -0.0 or +0.0 in its background slots and a
+    few drawn slots, so products stay cheap on clifford(10)."""
+    coeffs = np.full(algebra.dim, draw(st.sampled_from([0.0, -0.0])))
+    for slot, value in draw(st.dictionaries(st.integers(0, algebra.dim - 1), _SLOT_VALUE,
+                                            max_size=6)).items():
+        coeffs[slot] = value
+    return algebra.element(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_element_operations_never_change_their_operands(data):
+    algebra = data.draw(st.sampled_from(_SUPPORTED))
+    p, q = data.draw(_operand(algebra)), data.draw(_operand(algebra))
+    c = data.draw(st.one_of(_RING_SCALAR, st.just(-0.0)))
+    before = [x.coeffs.tobytes() for x in (p, q)]
+    calls = [
+        lambda: p + q, lambda: p + c, lambda: c + p,
+        lambda: p - q, lambda: p - c, lambda: c - p,
+        lambda: p * q, lambda: p * c, lambda: c * p,
+        lambda: p / q, lambda: q / p, lambda: p / c, lambda: c / p,
+        p.conjugate, p.inverse, p.norm, q.conjugate, q.inverse, q.norm,
+    ]
+    for call in calls:
+        try:
+            with np.errstate(all="ignore"):  # p / 0
+                call()
+        except (ZeroDivisionError, TypeError):
+            pass  # a refused call must leave its operands alone too
+        assert [x.coeffs.tobytes() for x in (p, q)] == before

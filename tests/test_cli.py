@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from menhir import calculus, cli, lorentz
-from menhir.algebra import COMPLEX, QUATERNION, RESIDUE_BOUND, Algebra, Element, vector_embed
+from menhir.algebra import COMPLEX, QUATERNION, RESIDUE_BOUND, Algebra, Element, clifford, vector_embed
 from menhir.calculus import RotationDescriptor, _compose, compose_menhirs, menhir_gap, menhir_of, velocity_of
 from menhir.cli import (_ORJSON_AS_REPR, OffModelError, _csv, _on_model, _orjson_as_repr, _read_catalog,
                         _shift_table, main)
@@ -630,6 +630,40 @@ def test_nan_off_the_model_is_off_the_model():
     # NaN > RESIDUE_BOUND is false, so the bound is tested as `not <=`
     with pytest.raises(OffModelError):
         _on_model(QUATERNION.element([math.nan, 0.1, 0.2, 0.3]), QUATERNION.one)
+
+
+def _clifford3_composite(residue):
+    """A clifford3 composite menhir with `residue` on the bivector slot e1 e2."""
+    coeffs = np.zeros(8)
+    coeffs[[1, 2, 4]] = 0.1, -0.2, 0.3
+    coeffs[3] = residue
+    return clifford(3).element(coeffs)
+
+
+def test_on_model_bounds_the_residue_times_alpha():
+    # the rule `compose --help` states: residue * |alpha| at most RESIDUE_BOUND.
+    # 0.9e-12 is within the bound alone but not at |alpha| = 1.5
+    algebra = clifford(3)
+    with pytest.raises(OffModelError):
+        _on_model(_clifford3_composite(0.9e-12), algebra.scalar(1.5))
+    composite = _clifford3_composite(0.9e-12)
+    on_model = _on_model(composite, algebra.one)
+    assert on_model.coeffs.tobytes() == vector_embed([0.1, -0.2, 0.3], algebra).coeffs.tobytes()
+
+
+def test_on_model_takes_a_residue_just_within_the_bound_over_alpha():
+    # the largest residue whose product with |alpha| = 1.5 is within
+    # RESIDUE_BOUND passes, the next float up raises
+    alpha = clifford(3).scalar(1.5)
+    residue = RESIDUE_BOUND / 1.5
+    while residue * 1.5 > RESIDUE_BOUND:
+        residue = math.nextafter(residue, 0.0)
+    while math.nextafter(residue, math.inf) * 1.5 <= RESIDUE_BOUND:
+        residue = math.nextafter(residue, math.inf)
+    assert residue > RESIDUE_BOUND / 2
+    _on_model(_clifford3_composite(residue), alpha)
+    with pytest.raises(OffModelError):
+        _on_model(_clifford3_composite(math.nextafter(residue, math.inf)), alpha)
 
 
 def test_compose_near_the_edge_sizes_the_residue_by_alpha(runner):
